@@ -12,9 +12,6 @@
 //	bench -crit-weight 1 -compare BENCH_cur.json -timing-gate
 //	                                              # timing-quality gate: geomean critical
 //	                                              # path must improve at <=5% wall cost
-//	bench -route-backend lagrange -compare BENCH_cur.json -route-gate
-//	                                              # route-scaling gate: quality-neutral
-//	                                              # routing at no higher route wall time
 //	bench -trace run.jsonl                        # also dump the event stream
 package main
 
@@ -51,9 +48,7 @@ func main() {
 		timingGate  = flag.Bool("timing-gate", false, "-compare in timing-quality mode: require geomean critical-path improvement over the baseline at <=5% total wall cost (same-machine baseline)")
 
 		routeBackend = flag.String("route-backend", "", `detailed-router backend: "ordered" (default), "negotiated" or "lagrange"`)
-		routeWorkers = flag.Int("route-workers", 0, "max router concurrency (0 = GOMAXPROCS; scheduling only, never affects results)")
 		routeIters   = flag.Int("route-iters", 0, "iteration cap for the negotiated/lagrange backends (0 = backend default)")
-		routeGate    = flag.Bool("route-gate", false, "-compare in route-scaling mode: the selected backend must be quality-neutral on routing at no higher total route wall time than the baseline (same-machine baseline)")
 	)
 	flag.Parse()
 
@@ -82,8 +77,7 @@ func main() {
 		out: *out, tracePath: *tracePath, compare: *compare, wallTol: *wallTol,
 		critWeight: *critWeight, critBias: *critBias, critDamping: *critDamping,
 		timingGate:   *timingGate,
-		routeBackend: *routeBackend, routeWorkers: *routeWorkers,
-		routeIters: *routeIters, routeGate: *routeGate,
+		routeBackend: *routeBackend, routeIters: *routeIters,
 	}
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
@@ -109,9 +103,7 @@ type runOpts struct {
 	timingGate  bool
 
 	routeBackend string
-	routeWorkers int
 	routeIters   int
-	routeGate    bool
 }
 
 func run(o runOpts) error {
@@ -139,7 +131,6 @@ func run(o runOpts) error {
 	if backend != droute.BackendOrdered {
 		e.RouteBackend = string(backend)
 	}
-	e.RouteWorkers = o.routeWorkers
 	e.RouteIters = o.routeIters
 
 	var trace *metrics.Trace
@@ -226,9 +217,6 @@ func run(o runOpts) error {
 		opt.WallTol = wallTol
 		if o.timingGate {
 			opt = exper.TimingQualityCompareOptions()
-		}
-		if o.routeGate {
-			opt = exper.RouteGateCompareOptions()
 		}
 		regs, err := exper.CompareBenchReports(base, rep, opt)
 		if err != nil {

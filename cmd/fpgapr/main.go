@@ -51,7 +51,6 @@ type options struct {
 	timingDriven bool // sequential flow: criticality-weighted second placement pass
 
 	routeBackend string // detailed-router backend (ordered, negotiated, lagrange)
-	routeWorkers int
 	routeIters   int
 
 	portfolio string // best-of-N sweep: preset name or inline JSON matrix
@@ -79,7 +78,6 @@ func main() {
 	flag.Float64Var(&o.critDamping, "crit-damping", 0, "simultaneous flow: exponential damping of per-net criticalities (0 = default when -crit-weight is set)")
 	flag.BoolVar(&o.timingDriven, "timing-driven", false, "sequential flow: run a criticality-weighted second placement pass")
 	flag.StringVar(&o.routeBackend, "route-backend", "", `detailed-router backend: "ordered" (default), "negotiated" or "lagrange"`)
-	flag.IntVar(&o.routeWorkers, "route-workers", 0, "max router concurrency (0 = GOMAXPROCS; scheduling only, never results)")
 	flag.IntVar(&o.routeIters, "route-iters", 0, "iteration cap for the negotiated/lagrange route backends (0 = backend default)")
 	flag.StringVar(&o.portfolio, "portfolio", "", `simultaneous flow: best-of-N sweep over a matrix preset (paper8, seeds4, seeds8) or an inline JSON matrix like {"seeds":[1,2,3]}`)
 	flag.BoolVar(&o.stats, "stats", false, "print optimizer metrics (phase timers, move/router/STA counters) after the run")
@@ -178,7 +176,6 @@ func run(o options) error {
 			CritDamping:   o.critDamping,
 			RouteBackend:  droute.Backend(o.routeBackend),
 			RouteIters:    o.routeIters,
-			RouteWorkers:  o.routeWorkers,
 			Metrics:       collectorOrNil(sum),
 		})
 	case "seq":
@@ -187,7 +184,6 @@ func run(o options) error {
 		cfg.Place.MaxTemps = o.maxTemps
 		cfg.RouteBackend = droute.Backend(o.routeBackend)
 		cfg.RouteIters = o.routeIters
-		cfg.RouteWorkers = o.routeWorkers
 		if o.timingDriven {
 			cfg.TimingDriven = true
 			cfg.CritWeight = o.critWeight
@@ -289,7 +285,6 @@ func runPortfolio(o options, a *repro.Arch, nl *repro.Netlist, sum *metrics.Summ
 			CritDamping:   o.critDamping,
 			RouteBackend:  droute.Backend(o.routeBackend),
 			RouteIters:    o.routeIters,
-			RouteWorkers:  o.routeWorkers,
 			Metrics:       collectorOrNil(sum),
 		}
 		if m.Seed != 0 {

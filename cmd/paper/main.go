@@ -46,7 +46,6 @@ func main() {
 		critDamping = flag.Float64("crit-damping", 0, "exponential damping of per-net criticalities (0 = default when -crit-weight is set)")
 
 		routeBackend = flag.String("route-backend", "", `detailed-router backend for both flows: "ordered" (default), "negotiated" or "lagrange"`)
-		routeWorkers = flag.Int("route-workers", 0, "max router concurrency (0 = GOMAXPROCS; scheduling only, never results)")
 		routeIters   = flag.Int("route-iters", 0, "iteration cap for the negotiated/lagrange route backends (0 = backend default)")
 		stats        = flag.Bool("stats", false, "print optimizer metrics (phase timers, move/router/STA counters) after the run")
 		pprofP       = flag.String("pprof", "", "write <prefix>.cpu.pprof and <prefix>.heap.pprof profiles of the run")
@@ -75,7 +74,6 @@ func main() {
 		os.Exit(2)
 	}
 	e.RouteBackend = *routeBackend
-	e.RouteWorkers = *routeWorkers
 	e.RouteIters = *routeIters
 	if e.Chains > 1 {
 		fmt.Printf("effort: %s (%d parallel chains)\n\n", e.Name, e.Chains)

@@ -58,20 +58,15 @@ type Config struct {
 	// routing pass: the paper's ordered single-pass router (empty or
 	// droute.BackendOrdered — the default, bit-identical to the
 	// pre-extension engine), the negotiated-congestion router
-	// (droute.BackendNegotiated), or the Lagrangian-relaxation net-parallel
-	// router (droute.BackendLagrange). The in-loop incremental rerouting is
-	// backend-independent. Every backend is deterministic for a fixed Seed
-	// regardless of RouteWorkers or GOMAXPROCS.
+	// (droute.BackendNegotiated), or the Lagrangian-relaxation router
+	// (droute.BackendLagrange). The in-loop incremental rerouting is
+	// backend-independent. Every backend is deterministic for a fixed Seed.
 	RouteBackend droute.Backend
 
 	// RouteIters overrides the iteration cap of the negotiated and lagrange
 	// route backends (0 = the backend's default). Ignored when the ordered
 	// backend is selected.
 	RouteIters int
-
-	// RouteWorkers caps the selected route backend's concurrency
-	// (0 = GOMAXPROCS). Scheduling only; never affects results.
-	RouteWorkers int
 
 	// DisablePinmapMoves removes pinmap reassignment from the move set
 	// (ablation: quantifies what the paper's "Cell Pin Assignments" state
@@ -381,13 +376,11 @@ func New(a *arch.Arch, nl *netlist.Netlist, cfg Config) (*Optimizer, error) {
 		o.initRouteFailed = droute.RouteAllNegotiated(o.F, o.Rts, cfg.DrouteCost, droute.NegotiateConfig{
 			MaxIters: cfg.RouteIters,
 			Seed:     cfg.Seed,
-			Workers:  cfg.RouteWorkers,
 		})
 	case droute.BackendLagrange:
 		o.initRouteFailed = droute.RouteAllLagrange(o.F, o.Rts, cfg.DrouteCost, droute.LagrangeConfig{
 			MaxIters: cfg.RouteIters,
 			Seed:     cfg.Seed,
-			Workers:  cfg.RouteWorkers,
 		})
 	default:
 		// A single ordered pass consuming no RNG draws beyond placement's:

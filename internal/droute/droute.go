@@ -11,7 +11,6 @@ package droute
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 
 	"repro/internal/fabric"
@@ -95,33 +94,16 @@ type chanItem struct {
 
 // RouteAllDetailed is the sequential baseline's full detailed router: each
 // channel is routed independently. Nets are first ordered longest-interval
-// first (the classic segmented-channel heuristic); if any fail, additional
-// randomized orderings are tried and the best assignment (fewest failures)
-// kept. Returns the total number of channel needs left unrouted.
-//
-// Retry orderings for one channel are evaluated concurrently on up to
-// GOMAXPROCS workers; see RouteAllDetailedWorkers for the determinism
-// contract.
+// first (the classic segmented-channel heuristic); if any fail, attempts-1
+// randomized orderings are tried and the best assignment (fewest failures,
+// earliest attempt on ties) kept. Each retry ordering is shuffled by its own
+// RNG seeded from rng, so a channel that enters the retry loop consumes
+// exactly attempts-1 draws. Trial orderings are scored in the fabric and
+// ripped up again; only the replayed winner counts in f.Stats. Returns the
+// total number of channel needs left unrouted.
 func RouteAllDetailed(f *fabric.Fabric, routes []fabric.NetRoute, cost Cost, attempts int, rng *rand.Rand) int {
-	return RouteAllDetailedWorkers(f, routes, cost, attempts, rng, 0)
-}
-
-// RouteAllDetailedWorkers is RouteAllDetailed with an explicit cap on how
-// many retry orderings are evaluated concurrently (0 = GOMAXPROCS).
-//
-// Workers is scheduling only: each retry ordering gets its own RNG seeded
-// from a value drawn serially from rng before any attempt runs, and is
-// evaluated as a pure simulation against a frozen snapshot of the channel's
-// occupancy — attempts share no mutable state. The winner (fewest failures,
-// lowest attempt index on ties, with the deterministic longest-first
-// ordering as attempt zero) is then replayed into the fabric serially, so
-// results are bit-identical for every worker count and GOMAXPROCS setting.
-func RouteAllDetailedWorkers(f *fabric.Fabric, routes []fabric.NetRoute, cost Cost, attempts int, rng *rand.Rand, workers int) int {
 	if attempts < 1 {
 		attempts = 1
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	totalFailed := 0
 	for ch := 0; ch < f.A.Channels(); ch++ {
@@ -151,82 +133,34 @@ func RouteAllDetailedWorkers(f *fabric.Fabric, routes []fabric.NetRoute, cost Co
 		})
 		bestFailed := routeChannelOrder(f, routes, items, cost)
 		if bestFailed > 0 && attempts > 1 {
-			// Per-attempt RNG splitting: seeds are drawn serially from the
-			// caller's stream (fixed-seed results survive), then the shuffled
-			// orderings are simulated concurrently against a frozen snapshot
-			// of the channel.
-			seeds := make([]int64, attempts-1)
-			for k := range seeds {
-				seeds[k] = rng.Int63()
-			}
+			// Trials leave no trace: the stats and the unrouted descriptors
+			// (whose stale segment ranges a trial overwrites) are restored
+			// before the winner is replayed.
 			unrouteChannel(f, routes, items)
-			blocked := channelBlocked(f, ch)
-			orders := make([][]chanItem, attempts)
-			fails := make([]int, attempts)
-			orders[0], fails[0] = items, bestFailed
-			parallelIndex(min(workers, attempts-1), attempts-1, func(k int) {
-				order := append([]chanItem(nil), items...)
-				r := rand.New(rand.NewSource(seeds[k]))
-				r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-				orders[k+1], fails[k+1] = order, simulateOrder(f, routes, blocked, order, cost)
-			})
-			best := 0
-			for k := 1; k < attempts; k++ {
-				if fails[k] < fails[best] {
-					best = k
-				}
+			stats := f.Stats
+			saved := make([]fabric.ChanAssign, len(items))
+			for i, it := range items {
+				saved[i] = routes[it.net].Chans[it.ci]
 			}
-			bestFailed = routeChannelOrder(f, routes, orders[best], cost)
+			best := items
+			for k := 1; k < attempts; k++ {
+				order := append([]chanItem(nil), items...)
+				r := rand.New(rand.NewSource(rng.Int63()))
+				r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+				if failed := routeChannelOrder(f, routes, order, cost); failed < bestFailed {
+					best, bestFailed = order, failed
+				}
+				unrouteChannel(f, routes, order)
+			}
+			f.Stats = stats
+			for i, it := range items {
+				routes[it.net].Chans[it.ci] = saved[i]
+			}
+			bestFailed = routeChannelOrder(f, routes, best, cost)
 		}
 		totalFailed += bestFailed
 	}
 	return totalFailed
-}
-
-// simulateOrder counts how many channel needs a given routing order would
-// fail to embed, mirroring routeChannelOrder/PickTrack exactly but against a
-// private occupancy copy instead of the fabric — it mutates nothing, so
-// concurrent simulations of different orders are race-free.
-func simulateOrder(f *fabric.Fabric, routes []fabric.NetRoute, blocked [][]bool, items []chanItem, cost Cost) int {
-	a := f.A
-	occ := make([][]bool, len(blocked))
-	for t := range blocked {
-		occ[t] = append([]bool(nil), blocked[t]...)
-	}
-	failed := 0
-	for _, it := range items {
-		ca := &routes[it.net].Chans[it.ci]
-		best := math.Inf(1)
-		bt := -1
-		var bl, bh int
-		for t := 0; t < a.Tracks; t++ {
-			sl, sh := a.SegRange(t, ca.Lo, ca.Hi)
-			free := true
-			for s := sl; s <= sh; s++ {
-				if occ[t][s] {
-					free = false
-					break
-				}
-			}
-			if !free {
-				continue
-			}
-			segs := a.Seg[t]
-			waste := float64((segs[sh].End - segs[sl].Start) - (ca.Hi - ca.Lo + 1))
-			c := cost.WWaste*waste + cost.WSegs*float64(sh-sl+1)
-			if c < best {
-				best, bt, bl, bh = c, t, sl, sh
-			}
-		}
-		if bt < 0 {
-			failed++
-			continue
-		}
-		for s := bl; s <= bh; s++ {
-			occ[bt][s] = true
-		}
-	}
-	return failed
 }
 
 func routeChannelOrder(f *fabric.Fabric, routes []fabric.NetRoute, items []chanItem, cost Cost) int {

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/fabric"
 )
@@ -20,10 +17,10 @@ const (
 	// pass per channel with randomized-ordering retries ([8][11]).
 	BackendOrdered Backend = "ordered"
 	// BackendNegotiated is the PathFinder-style negotiated-congestion router
-	// (RouteAllNegotiated): channels negotiate independently in parallel.
+	// (RouteAllNegotiated): each channel negotiates independently.
 	BackendNegotiated Backend = "negotiated"
 	// BackendLagrange is the Lagrangian-relaxation router (RouteAllLagrange):
-	// nets route independently in parallel against shared congestion prices.
+	// nets choose tracks independently against shared congestion prices.
 	BackendLagrange Backend = "lagrange"
 )
 
@@ -62,11 +59,6 @@ type LagrangeConfig struct {
 	// FallbackAttempts is the ordering-retry budget of the ordered-router
 	// fallback on instances the relaxation cannot fully embed (default 8).
 	FallbackAttempts int
-	// Workers caps how many nets choose tracks concurrently within an
-	// iteration (0 = GOMAXPROCS). Scheduling only: the choice pass reads a
-	// frozen price snapshot and each worker writes a disjoint index of the
-	// choice array, so results are bit-identical for every worker count.
-	Workers int
 }
 
 func (c *LagrangeConfig) setDefaults() {
@@ -78,9 +70,6 @@ func (c *LagrangeConfig) setDefaults() {
 	}
 	if c.FallbackAttempts <= 0 {
 		c.FallbackAttempts = 8
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
 	}
 }
 
@@ -107,23 +96,19 @@ type lagChannel struct {
 //
 // Each iteration proceeds in three strictly separated steps. First, every
 // net independently picks the track minimizing base cost plus the summed
-// congestion prices λ of the segments it would occupy — this step runs on a
-// bounded worker pool against a frozen price snapshot, with workers writing
-// only their own items' choice slots, so it is embarrassingly parallel and
-// schedule-independent. Second, occupancy is accumulated serially and the
-// iteration terminates the loop if no segment is over-subscribed. Third, a
-// projected sub-gradient step updates the prices: λ ← max(0, λ + αt·(occ−1))
-// with αt = Step/√(t+1), raising prices on contended segments and decaying
-// them on idle ones. Equal-cost track ties are broken by a per-net RNG split
+// congestion prices λ of the segments it would occupy, against prices frozen
+// for the whole pass. Second, occupancy is accumulated and the iteration
+// terminates the loop if no segment is over-subscribed. Third, a projected
+// sub-gradient step updates the prices: λ ← max(0, λ + αt·(occ−1)) with
+// αt = Step/√(t+1), raising prices on contended segments and decaying them
+// on idle ones. Equal-cost track ties are broken by a per-net RNG split
 // deterministically from (Seed, net, channel index), which decorrelates
 // symmetric nets (otherwise they would all migrate to the same alternative
-// track each iteration and oscillate) without making the outcome depend on
-// scheduling. Commitment is serial in ascending (net, channel-index) order
-// with first-come-wins on residual conflicts and a salvage RouteChan for the
-// losers; if needs remain unrouted, the ordered router with retry orderings
+// track each iteration and oscillate). Commitment is in ascending
+// (net, channel-index) order with first-come-wins on residual conflicts and
+// a salvage RouteChan for the losers; if needs remain unrouted, the ordered router with retry orderings
 // runs as a fallback and the better result is kept, so the relaxation is
-// never a downgrade. Results are bit-identical for fixed (Seed, MaxIters)
-// regardless of Workers or GOMAXPROCS.
+// never a downgrade. Results are bit-identical for fixed (Seed, MaxIters).
 func RouteAllLagrange(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, cfg LagrangeConfig) int {
 	cfg.setDefaults()
 
@@ -171,13 +156,12 @@ func RouteAllLagrange(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, cfg
 	}
 
 	choices := make([]negChoice, len(items))
-	workers := min(cfg.Workers, len(items))
 	for iter := 0; iter < cfg.MaxIters; iter++ {
-		// Step 1: parallel per-net track choice against frozen prices.
-		parallelIndex(workers, len(items), func(i int) {
-			choices[i] = lagrangeChoose(f, routes, chans[items[i].ch], items[i], base)
-		})
-		// Step 2: serial occupancy accumulation.
+		// Step 1: per-net track choice against frozen prices.
+		for i, it := range items {
+			choices[i] = lagrangeChoose(f, routes, chans[it.ch], it, base)
+		}
+		// Step 2: occupancy accumulation.
 		for _, lc := range chans {
 			if lc == nil {
 				continue
@@ -221,9 +205,9 @@ func RouteAllLagrange(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, cfg
 		}
 	}
 
-	// Commit serially in ascending (net, ci) order: first-come wins on
-	// residual conflicts, and conflict losers get a salvage attempt on
-	// whatever capacity remains.
+	// Commit in ascending (net, ci) order: first-come wins on residual
+	// conflicts, and conflict losers get a salvage attempt on whatever
+	// capacity remains.
 	commit := func() int {
 		failed := 0
 		for i, it := range items {
@@ -257,8 +241,8 @@ func RouteAllLagrange(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, cfg
 	// result loses fewer channel needs, so the relaxation is never a
 	// downgrade relative to the baseline.
 	ripItems()
-	orderedFailed := RouteAllDetailedWorkers(f, routes, base, cfg.FallbackAttempts,
-		rand.New(rand.NewSource(cfg.Seed+43)), cfg.Workers)
+	orderedFailed := RouteAllDetailed(f, routes, base, cfg.FallbackAttempts,
+		rand.New(rand.NewSource(cfg.Seed+43)))
 	if orderedFailed <= failed {
 		return orderedFailed
 	}
@@ -268,12 +252,9 @@ func RouteAllLagrange(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, cfg
 
 // lagrangeChoose picks the track minimizing base cost plus summed congestion
 // prices for one channel need. It reads only the frozen per-channel prices
-// and blocked matrix — never the fabric's mutable state or other items'
-// choices — so concurrent calls for distinct items are race-free and
-// schedule-independent. Exact cost ties are broken by reservoir sampling on
-// the item's own RNG: the stream advances only with this item's tie count,
-// which is itself a pure function of the frozen prices, so the draw sequence
-// is identical no matter which worker runs the item or when.
+// and blocked matrix, never other items' choices. Exact cost ties are broken
+// by reservoir sampling on the item's own RNG, whose stream advances only
+// with this item's tie count.
 func lagrangeChoose(f *fabric.Fabric, routes []fabric.NetRoute, lc *lagChannel, it lagItem, base Cost) negChoice {
 	a := f.A
 	ca := &routes[it.net].Chans[it.ci]
@@ -325,39 +306,6 @@ func channelBlocked(f *fabric.Fabric, ch int) [][]bool {
 		}
 	}
 	return blocked
-}
-
-// parallelIndex runs fn(i) for every i in [0, n) on up to workers
-// goroutines. Work is handed out in chunks via an atomic cursor; fn must
-// touch only state owned by index i, which makes the execution order
-// unobservable and the result schedule-independent.
-func parallelIndex(workers, n int, fn func(int)) {
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	const chunk = 16
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo := int(next.Add(chunk)) - chunk
-				if lo >= n {
-					return
-				}
-				hi := min(lo+chunk, n)
-				for i := lo; i < hi; i++ {
-					fn(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // splitSeed derives the per-item RNG seed from the backend seed and the

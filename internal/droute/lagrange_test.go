@@ -2,7 +2,6 @@ package droute
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/arch"
@@ -26,88 +25,6 @@ func TestParseBackend(t *testing.T) {
 		if _, err := ParseBackend(s); err == nil {
 			t.Errorf("ParseBackend(%q) accepted", s)
 		}
-	}
-}
-
-// TestLagrangeParallelInvariance pins the determinism contract of the
-// net-parallel Lagrangian router: for a fixed (seed, iteration cap), every
-// worker count must produce the identical layout — same failure count, same
-// track/segment assignment for every channel need of every net. Under -race
-// (the CI race gate covers this package) it additionally proves the choice
-// pass shares no mutable state across workers.
-func TestLagrangeParallelInvariance(t *testing.T) {
-	nl, err := netgen.Generate(netgen.Params{Name: "lw", Inputs: 5, Outputs: 4, Seq: 2, Comb: 45, Seed: 87})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tracks := range []int{10, 14} {
-		for seed := int64(0); seed < 3; seed++ {
-			a := arch.MustNew(arch.Default(6, 16, tracks))
-			pl, err := layout.NewRandom(a, nl, rand.New(rand.NewSource(seed)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			route := func(workers int) (int, *fabric.Fabric, []fabric.NetRoute) {
-				f := fabric.New(a)
-				routes := make([]fabric.NetRoute, nl.NumNets())
-				if gf := groute.RouteAll(f, pl, routes); len(gf) > 0 {
-					t.Skipf("global routing failed at %d tracks", tracks)
-				}
-				failed := RouteAllLagrange(f, routes, DefaultCost(), LagrangeConfig{Seed: seed, Workers: workers})
-				return failed, f, routes
-			}
-			refFailed, refF, refRoutes := route(1)
-			if err := refF.CheckConsistent(refRoutes); err != nil {
-				t.Fatalf("tracks=%d seed=%d workers=1: %v", tracks, seed, err)
-			}
-			refKey := routeKey(refRoutes)
-			for _, workers := range []int{4, 16, 0} {
-				failed, f, routes := route(workers)
-				if failed != refFailed {
-					t.Errorf("tracks=%d seed=%d workers=%d: %d failed, want %d",
-						tracks, seed, workers, failed, refFailed)
-				}
-				if !equalKeys(routeKey(routes), refKey) {
-					t.Errorf("tracks=%d seed=%d workers=%d: layout differs from workers=1",
-						tracks, seed, workers)
-				}
-				if err := f.CheckConsistent(routes); err != nil {
-					t.Fatalf("tracks=%d seed=%d workers=%d: %v", tracks, seed, workers, err)
-				}
-			}
-		}
-	}
-}
-
-// TestLagrangeGOMAXPROCSInvariance re-runs the default-workers Lagrangian
-// router under GOMAXPROCS=1 and checks the result matches a fully parallel
-// run — the same scheduling-independence contract the negotiated router and
-// the parallel annealer pin.
-func TestLagrangeGOMAXPROCSInvariance(t *testing.T) {
-	nl, err := netgen.Generate(netgen.Params{Name: "lg", Inputs: 4, Outputs: 3, Seq: 2, Comb: 36, Seed: 19})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := arch.MustNew(arch.Default(5, 14, 12))
-	pl, err := layout.NewRandom(a, nl, rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	route := func() (int, [][]fabric.ChanAssign) {
-		f := fabric.New(a)
-		routes := make([]fabric.NetRoute, nl.NumNets())
-		if gf := groute.RouteAll(f, pl, routes); len(gf) > 0 {
-			t.Skip("global routing failed")
-		}
-		failed := RouteAllLagrange(f, routes, DefaultCost(), LagrangeConfig{Seed: 3})
-		return failed, routeKey(routes)
-	}
-	wideFailed, wideKey := route()
-	prev := runtime.GOMAXPROCS(1)
-	oneFailed, oneKey := route()
-	runtime.GOMAXPROCS(prev)
-	if wideFailed != oneFailed || !equalKeys(wideKey, oneKey) {
-		t.Errorf("GOMAXPROCS=1 result differs: %d failed vs %d", oneFailed, wideFailed)
 	}
 }
 
@@ -220,7 +137,7 @@ func FuzzLagrangeRoute(f *testing.F) {
 			return
 		}
 
-		cfg := LagrangeConfig{MaxIters: 1 + int(seed&7), Seed: seed, Workers: 1 + int(seed>>3&3)}
+		cfg := LagrangeConfig{MaxIters: 1 + int(seed&7), Seed: seed}
 		failed := RouteAllLagrange(f, routes, DefaultCost(), cfg)
 		if failed < 0 || failed > len(routes) {
 			t.Fatalf("failed = %d with %d needs", failed, len(routes))
@@ -270,48 +187,4 @@ func FuzzLagrangeRoute(f *testing.F) {
 			t.Fatalf("%d segments leaked after unrouting", f.UsedH())
 		}
 	})
-}
-
-// TestDetailedWorkersInvariance pins the retry-path determinism of the
-// ordered router: the attempts>1 loop simulates candidate orderings
-// concurrently, and the chosen winner must be identical for every worker
-// count because candidate seeds are drawn serially and ties go to the lowest
-// attempt index.
-func TestDetailedWorkersInvariance(t *testing.T) {
-	nl, err := netgen.Generate(netgen.Params{Name: "dw", Inputs: 5, Outputs: 4, Seq: 2, Comb: 45, Seed: 87})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Scarce tracks so first-pass failures engage the retry loop.
-	a := arch.MustNew(arch.Default(6, 16, 8))
-	pl, err := layout.NewRandom(a, nl, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	route := func(workers int) (int, *fabric.Fabric, []fabric.NetRoute) {
-		f := fabric.New(a)
-		routes := make([]fabric.NetRoute, nl.NumNets())
-		if gf := groute.RouteAll(f, pl, routes); len(gf) > 0 {
-			t.Skip("global routing failed at 8 tracks")
-		}
-		failed := RouteAllDetailedWorkers(f, routes, DefaultCost(), 6, rand.New(rand.NewSource(9)), workers)
-		return failed, f, routes
-	}
-	refFailed, refF, refRoutes := route(1)
-	if err := refF.CheckConsistent(refRoutes); err != nil {
-		t.Fatal(err)
-	}
-	refKey := routeKey(refRoutes)
-	for _, workers := range []int{4, 16, 0} {
-		failed, f, routes := route(workers)
-		if failed != refFailed {
-			t.Errorf("workers=%d: %d failed, want %d", workers, failed, refFailed)
-		}
-		if !equalKeys(routeKey(routes), refKey) {
-			t.Errorf("workers=%d: layout differs from workers=1", workers)
-		}
-		if err := f.CheckConsistent(routes); err != nil {
-			t.Fatal(err)
-		}
-	}
 }

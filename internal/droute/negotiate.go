@@ -3,9 +3,7 @@ package droute
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/fabric"
 )
@@ -27,12 +25,6 @@ type NegotiateConfig struct {
 	// FallbackAttempts is the ordering-retry budget of the ordered-router
 	// fallback on non-convergent instances (default 8).
 	FallbackAttempts int
-
-	// Workers caps how many channels are negotiated concurrently
-	// (0 = GOMAXPROCS). Scheduling only: results are identical for every
-	// worker count because channels share no horizontal resources — each is
-	// negotiated independently and committed in fixed channel order.
-	Workers int
 }
 
 func (c *NegotiateConfig) setDefaults() {
@@ -50,9 +42,6 @@ func (c *NegotiateConfig) setDefaults() {
 	}
 	if c.FallbackAttempts <= 0 {
 		c.FallbackAttempts = 8
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
 	}
 }
 
@@ -74,9 +63,8 @@ type negChoice struct{ track, segLo, segHi int }
 //
 // Horizontal segments never span channels, so the negotiation decomposes
 // exactly by channel: each channel's needs are negotiated independently (its
-// own occupancy, history and present-cost schedule) on a bounded worker pool
-// and the results are committed serially in ascending channel order. The
-// outcome is bit-identical for every Workers value and GOMAXPROCS setting.
+// own occupancy, history and present-cost schedule), and the results are
+// committed in ascending channel order.
 func RouteAllNegotiated(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, cfg NegotiateConfig) int {
 	cfg.setDefaults()
 
@@ -132,37 +120,17 @@ func RouteAllNegotiated(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, c
 		lo = hi
 	}
 
-	// Negotiate each channel independently. Workers write disjoint choices
-	// ranges and only read f (no fabric mutation happens until commit), so the
-	// pool is race-free; per-group results do not depend on scheduling.
+	// Negotiate each channel independently; the fabric is not mutated until
+	// commit.
 	choices := make([]negChoice, len(items))
-	if workers := min(cfg.Workers, len(groups)); workers <= 1 {
-		for _, g := range groups {
-			negotiateChannel(f, routes, base, cfg, items[g.lo:g.hi], choices[g.lo:g.hi])
-		}
-	} else {
-		work := make(chan group)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for g := range work {
-					negotiateChannel(f, routes, base, cfg, items[g.lo:g.hi], choices[g.lo:g.hi])
-				}
-			}()
-		}
-		for _, g := range groups {
-			work <- g
-		}
-		close(work)
-		wg.Wait()
+	for _, g := range groups {
+		negotiateChannel(f, routes, base, cfg, items[g.lo:g.hi], choices[g.lo:g.hi])
 	}
 
-	// Commit serially in item (= ascending channel) order: first-come wins on
-	// residual conflicts, and conflict losers get a salvage attempt on
-	// whatever capacity remains (matters only when the instance is infeasible
-	// and negotiation could not converge).
+	// Commit in item (= ascending channel) order: first-come wins on residual
+	// conflicts, and conflict losers get a salvage attempt on whatever
+	// capacity remains (matters only when the instance is infeasible and
+	// negotiation could not converge).
 	commit := func() int {
 		failed := 0
 		for i, it := range items {
@@ -195,8 +163,8 @@ func RouteAllNegotiated(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, c
 	// ordered router with retry orderings may salvage more. Keep whichever
 	// result loses fewer channel needs, so negotiation is never a downgrade.
 	ripItems()
-	orderedFailed := RouteAllDetailedWorkers(f, routes, base, cfg.FallbackAttempts,
-		rand.New(rand.NewSource(cfg.Seed+41)), cfg.Workers)
+	orderedFailed := RouteAllDetailed(f, routes, base, cfg.FallbackAttempts,
+		rand.New(rand.NewSource(cfg.Seed+41)))
 	if orderedFailed <= failed {
 		return orderedFailed
 	}
@@ -208,9 +176,9 @@ func RouteAllNegotiated(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, c
 // one channel (items, all sharing the same Ch), writing each item's final
 // track selection into choices. It reads the fabric's current H ownership
 // (pre-routed nets block their segments permanently) but never mutates f —
-// commitment happens later, serially. The present-cost escalation and the
-// convergence check are local to the channel: a hard-to-untangle channel no
-// longer inflates the sharing penalty for channels that converged early.
+// commitment happens later. The present-cost escalation and the convergence
+// check are local to the channel: a hard-to-untangle channel does not
+// inflate the sharing penalty for channels that converged early.
 func negotiateChannel(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, cfg NegotiateConfig, items []negItem, choices []negChoice) {
 	a := f.A
 	ch := routes[items[0].net].Chans[items[0].ci].Ch
@@ -220,15 +188,11 @@ func negotiateChannel(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, cfg
 	// fabric are permanently blocked.
 	occ := make([][]int16, a.Tracks)
 	hist := make([][]float64, a.Tracks)
-	blocked := make([][]bool, a.Tracks)
+	blocked := channelBlocked(f, ch)
 	for t := 0; t < a.Tracks; t++ {
 		n := len(a.Seg[t])
 		occ[t] = make([]int16, n)
 		hist[t] = make([]float64, n)
-		blocked[t] = make([]bool, n)
-		for s := 0; s < n; s++ {
-			blocked[t][s] = f.HOwner(ch, t, s) != fabric.Free
-		}
 	}
 	for i := range choices {
 		choices[i].track = -1

@@ -41,8 +41,7 @@ type BenchReport struct {
 
 	// Detailed-router backend the suite ran with (see droute.Backend). Empty
 	// — and omitted from the JSON — for the default ordered router, so
-	// pre-extension reports decode and compare unchanged. RouteWorkers is
-	// deliberately absent: it is scheduling-only and never affects results.
+	// pre-extension reports decode and compare unchanged.
 	RouteBackend string `json:"route_backend,omitempty"`
 	RouteIters   int    `json:"route_iters,omitempty"`
 }
@@ -220,22 +219,6 @@ type CompareOptions struct {
 	// WallCostTol is the allowed relative total wall-time increase in
 	// TimingQuality mode (0.05 = the timing win may cost at most 5% runtime).
 	WallCostTol float64
-
-	// RouteGate switches the gate to cross-backend route-scaling comparison:
-	// the current report (typically a lagrange-backend run) must be
-	// quality-neutral — no design routes any worse overall and no design's
-	// constructive pass fails more channel needs — at a total route wall
-	// time no higher than the baseline backend's (plus RouteWallSlackMS).
-	// Per-design layout-hash, critical-path, wall and alloc gates are
-	// skipped — different backends are *supposed* to produce different
-	// layouts — and the route backend/iters headers may differ, but
-	// Effort/Seed/Tracks/Chains must still match, and both reports must be
-	// from the same machine for the wall comparison to mean anything.
-	RouteGate bool
-	// RouteWallSlackMS is the absolute grace on the total route-wall
-	// comparison in RouteGate mode, keeping sub-millisecond route phases on
-	// small suites from flaking the gate.
-	RouteWallSlackMS float64
 }
 
 // DefaultCompareOptions returns the CI gate settings: fail on >25% wall-time
@@ -252,14 +235,6 @@ func DefaultCompareOptions() CompareOptions {
 // suites).
 func TimingQualityCompareOptions() CompareOptions {
 	return CompareOptions{TimingQuality: true, WallCostTol: 0.05, WallSlackMS: 250}
-}
-
-// RouteGateCompareOptions returns the route-scaling gate settings: the
-// candidate backend must be quality-neutral on routing (per-design unrouted
-// counts and constructive-pass failures no worse) at a total route wall time
-// no higher than the baseline's plus 50 ms of noise grace.
-func RouteGateCompareOptions() CompareOptions {
-	return CompareOptions{RouteGate: true, RouteWallSlackMS: 50}
 }
 
 // CompareBenchReports checks cur against base and returns one message per
@@ -280,8 +255,7 @@ func CompareBenchReports(base, cur *BenchReport, opt CompareOptions) ([]string, 
 		return nil, fmt.Errorf("bench compare: criticality configuration mismatch (base %g/%g/%g, current %g/%g/%g)",
 			base.CritWeight, base.CritBias, base.CritDamping, cur.CritWeight, cur.CritBias, cur.CritDamping)
 	}
-	if !opt.RouteGate &&
-		(base.RouteBackend != cur.RouteBackend || base.RouteIters != cur.RouteIters) {
+	if base.RouteBackend != cur.RouteBackend || base.RouteIters != cur.RouteIters {
 		return nil, fmt.Errorf("bench compare: route backend configuration mismatch (base %q/iters %d, current %q/iters %d)",
 			base.RouteBackend, base.RouteIters, cur.RouteBackend, cur.RouteIters)
 	}
@@ -306,17 +280,6 @@ func CompareBenchReports(base, cur *BenchReport, opt CompareOptions) ([]string, 
 		if c.GUnrouted > b.GUnrouted {
 			regressions = append(regressions,
 				fmt.Sprintf("%s: globally unrouted nets %d -> %d", c.Design, b.GUnrouted, c.GUnrouted))
-		}
-		if opt.RouteGate {
-			// Cross-backend comparison: layouts are expected to differ, but
-			// the candidate backend must not leave more of any design's
-			// constructive pass unrouted. Armed only when the baseline
-			// carries the route fields.
-			if b.RouteWallMS > 0 && c.RouteFailed > b.RouteFailed {
-				regressions = append(regressions,
-					fmt.Sprintf("%s: constructive route failures %d -> %d", c.Design, b.RouteFailed, c.RouteFailed))
-			}
-			continue
 		}
 		if opt.TimingQuality {
 			// Cross-configuration comparison: results are expected to
@@ -367,38 +330,7 @@ func CompareBenchReports(base, cur *BenchReport, opt CompareOptions) ([]string, 
 	if opt.TimingQuality {
 		regressions = append(regressions, timingQualityGate(base, cur, baseRows, curRows, opt)...)
 	}
-	if opt.RouteGate {
-		regressions = append(regressions, routeScalingGate(base, curRows, opt)...)
-	}
 	return regressions, nil
-}
-
-// routeScalingGate is the RouteGate-mode aggregate check: over the designs
-// both reports share (and whose baseline rows carry route timings), the
-// current report's total constructive-route wall time must not exceed the
-// baseline's plus the slack. Reports without route fields fail closed — a
-// gate that silently compares nothing would pass any regression.
-func routeScalingGate(base *BenchReport, curRows map[string]BenchRow, opt CompareOptions) []string {
-	var wallBase, wallCur float64
-	n := 0
-	for _, b := range base.Rows {
-		c, ok := curRows[b.Design]
-		if !ok || b.RouteWallMS <= 0 {
-			continue
-		}
-		wallBase += b.RouteWallMS
-		wallCur += c.RouteWallMS
-		n++
-	}
-	if n == 0 {
-		return []string{"route-scaling gate: no comparable designs with route timings"}
-	}
-	if limit := wallBase + opt.RouteWallSlackMS; wallCur > limit {
-		return []string{fmt.Sprintf(
-			"route-scaling gate: total route wall time %.1f ms -> %.1f ms exceeds the baseline plus %.0f ms slack (limit %.1f ms)",
-			wallBase, wallCur, opt.RouteWallSlackMS, limit)}
-	}
-	return nil
 }
 
 // timingQualityGate is the TimingQuality-mode aggregate check: the current

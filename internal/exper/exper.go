@@ -50,13 +50,11 @@ type Effort struct {
 
 	// RouteBackend selects the detailed-router backend for both flows
 	// ("", "ordered", "negotiated" or "lagrange"; see droute.Backend), with
-	// RouteIters overriding the iterative backends' iteration cap and
-	// RouteWorkers capping router concurrency (scheduling only). Zero values
-	// — the ordered backend — in both constructors; callers opt in
+	// RouteIters overriding the iterative backends' iteration cap. Zero
+	// values — the ordered backend — in both constructors; callers opt in
 	// (cmd/bench / cmd/paper -route-backend).
 	RouteBackend string
 	RouteIters   int
-	RouteWorkers int
 
 	// Metrics, when non-nil, is threaded into every flow the effort runs
 	// (core and seq). It must be safe for concurrent use: table rows run
@@ -141,7 +139,6 @@ func runSeq(a *arch.Arch, nl *netlist.Netlist, e Effort, seed int64) (*seq.Resul
 		RouteAttempts: e.RouteAttempts,
 		RouteBackend:  droute.Backend(e.RouteBackend),
 		RouteIters:    e.RouteIters,
-		RouteWorkers:  e.RouteWorkers,
 		Metrics:       e.Metrics,
 	})
 	return res, time.Since(start), err
@@ -165,7 +162,6 @@ func RunSim(a *arch.Arch, nl *netlist.Netlist, e Effort, seed int64, wirabilityO
 		CritDamping:   e.CritDamping,
 		RouteBackend:  droute.Backend(e.RouteBackend),
 		RouteIters:    e.RouteIters,
-		RouteWorkers:  e.RouteWorkers,
 		Metrics:       e.Metrics,
 	})
 	if err != nil {

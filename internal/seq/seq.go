@@ -42,24 +42,13 @@ type Config struct {
 	// RouteBackend selects the full detailed-routing algorithm: the
 	// paper-era ordered router (empty or droute.BackendOrdered), the
 	// PathFinder-style negotiated router (droute.BackendNegotiated), or the
-	// Lagrangian-relaxation net-parallel router (droute.BackendLagrange).
-	// Every backend is deterministic for a fixed Seed regardless of
-	// RouteWorkers or GOMAXPROCS.
+	// Lagrangian-relaxation router (droute.BackendLagrange). Every backend
+	// is deterministic for a fixed Seed.
 	RouteBackend droute.Backend
-
-	// Negotiated selects the negotiated backend when RouteBackend is unset.
-	// Deprecated: kept for callers predating RouteBackend.
-	Negotiated bool
 
 	// RouteIters overrides the iteration cap of the negotiated and lagrange
 	// backends (0 = the backend's default). Ignored by the ordered router.
 	RouteIters int
-
-	// RouteWorkers caps the detailed router's concurrency: channels
-	// negotiated at once (negotiated), nets choosing tracks at once
-	// (lagrange), or retry orderings evaluated at once (ordered). 0 =
-	// GOMAXPROCS. Scheduling only; never affects results.
-	RouteWorkers int
 
 	// Metrics, when non-nil, receives per-phase wall-clock records for the
 	// four sequential stages (place, global-route, detail-route, timing).
@@ -70,9 +59,6 @@ type Config struct {
 func (c *Config) setDefaults() {
 	if c.RouteAttempts <= 0 {
 		c.RouteAttempts = 8
-	}
-	if c.RouteBackend == "" && c.Negotiated {
-		c.RouteBackend = droute.BackendNegotiated
 	}
 	if c.CritWeight <= 0 {
 		c.CritWeight = 3
@@ -142,17 +128,15 @@ func Run(a *arch.Arch, nl *netlist.Netlist, cfg Config) (*Result, error) {
 			MaxIters:         cfg.RouteIters,
 			Seed:             cfg.Seed,
 			FallbackAttempts: cfg.RouteAttempts,
-			Workers:          cfg.RouteWorkers,
 		})
 	case droute.BackendLagrange:
 		dFailed = droute.RouteAllLagrange(f, routes, cfg.DrouteCost, droute.LagrangeConfig{
 			MaxIters:         cfg.RouteIters,
 			Seed:             cfg.Seed,
 			FallbackAttempts: cfg.RouteAttempts,
-			Workers:          cfg.RouteWorkers,
 		})
 	default:
-		dFailed = droute.RouteAllDetailedWorkers(f, routes, cfg.DrouteCost, cfg.RouteAttempts, rng, cfg.RouteWorkers)
+		dFailed = droute.RouteAllDetailed(f, routes, cfg.DrouteCost, cfg.RouteAttempts, rng)
 	}
 	drouteDone()
 

@@ -104,10 +104,13 @@ type JobConfig struct {
 	// Detailed-router backend of the constructive pass (see droute.Backend;
 	// "" = ordered). Result-affecting together with RouteIters: both enter
 	// the cache key whenever a non-default backend is selected.
-	// RouteWorkers, like Workers, is scheduling-only and excluded.
 	RouteBackend string `json:"route_backend,omitempty"`
 	RouteIters   int    `json:"route_iters,omitempty"`
-	RouteWorkers int    `json:"route_workers,omitempty"`
+
+	// LegacyRoutePool is the route_workers field of the retired router
+	// worker pool. It is still accepted and range-checked, so requests and
+	// WAL records that carry it keep decoding, but it has no effect.
+	LegacyRoutePool int `json:"route_workers,omitempty"`
 }
 
 // critOn reports whether the request enables the criticality extension.
@@ -253,7 +256,7 @@ func (c *JobConfig) validate() error {
 	if err := check("route_iters", c.RouteIters, maxRouteIters); err != nil {
 		return err
 	}
-	if err := check("route_workers", c.RouteWorkers, maxWorkersCfg); err != nil {
+	if err := check("route_workers", c.LegacyRoutePool, maxWorkersCfg); err != nil {
 		return err
 	}
 	if !c.routeOn() && c.RouteIters != 0 {
@@ -284,7 +287,7 @@ func (s *jobSpec) cacheKey() string {
 	}
 	// Same contract for the route backend: the line is appended only when a
 	// non-default backend is selected, so ordered-backend requests keep their
-	// pre-extension keys and cached results. RouteWorkers never participates.
+	// pre-extension keys and cached results. LegacyRoutePool never participates.
 	if c.routeOn() {
 		fmt.Fprintf(h, "route=%s iters=%d\n", c.RouteBackend, c.RouteIters)
 	}
@@ -310,7 +313,6 @@ func (s *jobSpec) coreConfig() core.Config {
 		CritDamping:   c.CritDamping,
 		RouteBackend:  droute.Backend(c.RouteBackend),
 		RouteIters:    c.RouteIters,
-		RouteWorkers:  c.RouteWorkers,
 	}
 }
 

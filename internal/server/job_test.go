@@ -84,7 +84,7 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	// Route-backend knobs: selecting a non-default backend changes the key,
 	// its iteration cap feeds it, and the default (empty or explicit
 	// "ordered") preserves the pre-extension key so existing cached results
-	// stay addressable. The scheduling-only route_workers never feeds it.
+	// stay addressable. The no-op route_workers never feeds it.
 	ordered, err := buildSpec(JobRequest{Design: "tiny", Config: JobConfig{RouteBackend: "ordered"}})
 	if err != nil {
 		t.Fatal(err)
@@ -106,12 +106,12 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	if lagIters.key == lag.key {
 		t.Error("route_iters did not feed the cache key")
 	}
-	lagWorkers, err := buildSpec(JobRequest{Design: "tiny", Config: JobConfig{RouteBackend: "lagrange", RouteWorkers: 7}})
+	lagWorkers, err := buildSpec(JobRequest{Design: "tiny", Config: JobConfig{RouteBackend: "lagrange", LegacyRoutePool: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lagWorkers.key != lag.key {
-		t.Error("scheduling-only route_workers field changed the cache key")
+		t.Error("no-op route_workers field changed the cache key")
 	}
 	neg, err := buildSpec(JobRequest{Design: "tiny", Config: JobConfig{RouteBackend: "negotiated"}})
 	if err != nil {
