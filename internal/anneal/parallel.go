@@ -8,7 +8,9 @@
 package anneal
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 )
@@ -210,17 +212,22 @@ func champion(chains []*Chain) int {
 // runRound advances every live chain by up to syncTemps temperature steps on
 // a pool of workers. Chains are fully independent between barriers, so the
 // assignment of chains to workers cannot influence any chain's trajectory.
+//
+// A panic inside a chain cannot be recovered by RunParallel's caller while it
+// is on a pool goroutine, so each chain's steps run under a recover. The
+// round still finishes, and then the lowest-index chain's panic is raised
+// again on the caller's goroutine as a *chainPanic carrying the original
+// value and stack.
 func runRound(chains []*Chain, workers, syncTemps int) {
 	idx := make(chan int)
+	panics := make([]*chainPanic, len(chains))
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				c := chains[i]
-				for t := 0; t < syncTemps && c.Step(); t++ {
-				}
+				panics[i] = stepChain(i, chains[i], syncTemps)
 			}
 		}()
 	}
@@ -231,4 +238,34 @@ func runRound(chains []*Chain, workers, syncTemps int) {
 	}
 	close(idx)
 	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+}
+
+// stepChain runs one chain's share of a round, returning its panic, if any.
+func stepChain(i int, c *Chain, syncTemps int) (caught *chainPanic) {
+	defer func() {
+		if v := recover(); v != nil {
+			caught = &chainPanic{chain: i, value: v, stack: debug.Stack()}
+		}
+	}()
+	for t := 0; t < syncTemps && c.Step(); t++ {
+	}
+	return nil
+}
+
+// chainPanic is the value RunParallel panics with when a chain panicked on a
+// pool goroutine: the chain index, the original panic value and the stack of
+// the goroutine it was raised on.
+type chainPanic struct {
+	chain int
+	value any
+	stack []byte
+}
+
+func (p *chainPanic) Error() string {
+	return fmt.Sprintf("anneal: chain %d panicked: %v\n%s", p.chain, p.value, p.stack)
 }

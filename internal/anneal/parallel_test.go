@@ -3,6 +3,7 @@ package anneal
 import (
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -232,5 +233,66 @@ func TestChainAdoptRevives(t *testing.T) {
 	}
 	if c.Problem() != Problem(fresh) {
 		t.Error("adopt did not install the new problem")
+	}
+}
+
+// panickyTour is a forkableTour whose moves panic after a budget of
+// proposals, on the chains whose clone carries a budget.
+type panickyTour struct {
+	forkableTour
+	clones *int // shared count of clones taken from the root
+	budget int  // proposals left before the panic; <0 = never panic
+}
+
+func (t *panickyTour) Propose(rng *rand.Rand) float64 {
+	if t.budget == 0 {
+		panic("panicky tour: move exploded")
+	}
+	if t.budget > 0 {
+		t.budget--
+	}
+	return t.forkableTour.Propose(rng)
+}
+
+// CloneProblem arms only the second clone, which RunParallel hands to
+// chain 2.
+func (t *panickyTour) CloneProblem() Problem {
+	*t.clones++
+	c := &panickyTour{forkableTour: *t.forkableTour.CloneProblem().(*forkableTour),
+		clones: t.clones, budget: -1}
+	if *t.clones == 2 {
+		c.budget = 50
+	}
+	return c
+}
+
+// A panic inside one chain's moves runs on a pool goroutine, where no caller
+// can recover it. RunParallel must instead re-raise it on the caller's
+// goroutine, naming the chain and carrying the original value, for any
+// worker count.
+func TestRunParallelChainPanicReachesCaller(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		clones := 0
+		root := &panickyTour{forkableTour: *newForkableTour(12, 4), clones: &clones, budget: -1}
+		cfg := ParallelConfig{
+			Config:    Config{Seed: 9, MovesPerTemp: 40, MaxTemps: 20},
+			Chains:    3,
+			Workers:   workers,
+			SyncTemps: 4,
+		}
+		v := func() (v any) {
+			defer func() { v = recover() }()
+			RunParallel(root, cfg, nil)
+			return nil
+		}()
+		err, ok := v.(error)
+		if !ok {
+			t.Fatalf("workers=%d: recovered %T %v, want an error value", workers, v, v)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, "chain 2 panicked") || !strings.Contains(msg, "move exploded") ||
+			!strings.Contains(msg, "Propose") {
+			t.Errorf("workers=%d: panic message lacks chain, value or stack:\n%s", workers, msg)
+		}
 	}
 }

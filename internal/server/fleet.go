@@ -2,7 +2,10 @@
 // worker processes register here, lease jobs out of the shared scheduler,
 // heartbeat to keep their leases alive (shipping buffered optimizer progress
 // with every beat, so SSE subscribers follow remote runs exactly as local
-// ones), and complete them back into the result cache and the WAL. A lease
+// ones), and complete them. A lease grant starts the run with the same
+// startRun step the in-process pool uses, and a completion settles the job
+// with the same settle step (queue.go), so a remote result reaches the
+// result cache and the WAL exactly as a local one would. A lease
 // that misses its heartbeats is harvested by the janitor and its job
 // re-enqueued at the front of the queue — deterministic runs make the retry
 // idempotent, so whichever worker finishes produces bit-identical bytes.
@@ -10,13 +13,14 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/fleet"
-	"repro/internal/store"
 )
 
 // Fleet request-body caps: control messages are small; only a completion may
@@ -97,18 +101,16 @@ func (s *Server) handleFleetLease(w http.ResponseWriter, r *http.Request) {
 		// failed TryDequeue still wakes the wait below.
 		wake := s.sched.WakeChan()
 		if j, ok := s.sched.TryDequeue(); ok {
-			if !j.beginRunning() {
+			if !s.startRun(j) {
 				continue // canceled while queued; try the next job
 			}
-			s.journal(store.Record{Kind: store.KindRunning, Job: j.ID, Key: j.Key})
-			atomic.AddInt64(&s.runs, 1)
 			lease := s.leases.Grant(j.ID, req.WorkerID)
 			spec, err := json.Marshal(j.spec.req)
 			if err != nil {
 				// Unserializable spec (cannot happen for a validated request):
 				// surface it as a failed job rather than wedging the lease.
 				s.leases.Complete(lease.ID)
-				s.finishJobFailed(j, "serialize spec for lease: "+err.Error())
+				s.settle(j, nil, fmt.Errorf("serialize spec for lease: %w", err))
 				httpError(w, http.StatusInternalServerError, "serialize spec: %v", err)
 				return
 			}
@@ -196,23 +198,34 @@ func (s *Server) handleFleetComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	applyProgress(j, req.Progress)
-	switch {
-	case req.Status == fleet.StatusDone && !j.cancelRequested():
-		var stats JobStats
-		if len(req.Stats) > 0 {
-			json.Unmarshal(req.Stats, &stats)
-		}
-		s.finishJobDone(j, &JobResult{Layout: req.Layout, Stats: stats})
+	res, err := completionOutcome(&req)
+	if s.settle(j, res, err) == StateDone {
 		atomic.AddInt64(&s.remoteDone, 1)
-	case req.Status == fleet.StatusFailed:
-		s.finishJobFailed(j, req.Error)
-	default:
-		// Canceled — or done bytes racing a cancel request, which the local
-		// runner also reports as canceled rather than publishing the result.
-		s.finishJobCanceled(j)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	writeJSON(w, j.Snapshot())
+}
+
+// completionOutcome maps a completion message onto the run outcome settle
+// takes. A done completion whose stats are missing or do not decode as
+// JobStats is a failure: publishing it would cache and score zero stats.
+func completionOutcome(req *fleet.CompleteRequest) (*JobResult, error) {
+	switch req.Status {
+	case fleet.StatusDone:
+		var stats *JobStats
+		err := json.Unmarshal(req.Stats, &stats)
+		if err == nil && stats == nil {
+			err = errors.New("stats are null")
+		}
+		if err != nil {
+			return nil, fmt.Errorf("remote completion has unusable stats: %w", err)
+		}
+		return &JobResult{Layout: req.Layout, Stats: *stats}, nil
+	case fleet.StatusFailed:
+		return nil, errors.New(req.Error)
+	default:
+		return nil, errCanceled
+	}
 }
 
 // applyProgress bridges a batch of worker-shipped progress records into the
@@ -273,9 +286,7 @@ func (s *Server) handleLeaseExpiry(l fleet.Lease) {
 		atomic.AddInt64(&s.reenqueues, 1)
 		s.sched.EnqueueFront(j, j.pri, j.client, j.created)
 	case cancelTerminal:
-		if j.userCanceled() {
-			s.journal(store.Record{Kind: store.KindCanceled, Job: j.ID, Key: j.Key})
-		}
+		s.journalCanceled(j)
 	}
 }
 

@@ -171,9 +171,15 @@ func TestFleetEndToEnd(t *testing.T) {
 	// Bit-identical to a local run of the same spec.
 	_, localBase := newTestService(t, server.Config{Workers: 2, QueueDepth: 8})
 	lst, _ := submitJob(t, localBase, tinyJob)
-	waitState(t, localBase, lst.ID, server.StateDone, 60*time.Second)
+	local := waitState(t, localBase, lst.ID, server.StateDone, 60*time.Second)
 	if layoutHash(t, base, st.ID) != layoutHash(t, localBase, lst.ID) {
 		t.Error("remote layout differs from local layout for the same spec")
+	}
+	// The stats JSON round trip is lossless: every field but wall time agrees.
+	remoteStats, localStats := *done.Result, *local.Result
+	remoteStats.WallMS, localStats.WallMS = 0, 0
+	if remoteStats != localStats {
+		t.Errorf("remote stats %+v differ from local stats %+v", remoteStats, localStats)
 	}
 
 	stats := getStatsz(t, base)

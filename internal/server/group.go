@@ -24,7 +24,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -32,7 +31,6 @@ import (
 	"time"
 
 	"repro/internal/exper"
-	"repro/internal/fleet"
 	"repro/internal/portfolio"
 	"repro/internal/store"
 )
@@ -343,26 +341,14 @@ func (s *Server) handlePortfolioSubmit(w http.ResponseWriter, r *http.Request) {
 	s.handleGroupSubmit(w, r, groupPortfolio, parsePortfolioRequest)
 }
 
-// handleGroupSubmit is the shared group admission path: one rate-limit token
-// per POST, per-member cache dedup, all-or-nothing enqueue, then the group
-// WAL record.
+// handleGroupSubmit is the shared group submit path: per-member cache dedup,
+// then the fresh members through admit (so a group costs one rate-limit
+// token but counts each fresh member against the inflight quota, and
+// enqueues all of them or none), then the group WAL record.
 func (s *Server) handleGroupSubmit(w http.ResponseWriter, r *http.Request,
 	kind string, parse func([]byte) ([]memberSpec, error)) {
-	client := clientKey(r)
-	// One POST is one token: a group counts once against the client's bucket
-	// no matter how many members it expands to. The members still count
-	// individually against the inflight quota below — the bucket limits
-	// request rate, the quota limits concurrent work.
-	if wait, ok := s.limiter.allow(client, time.Now()); !ok {
-		atomic.AddInt64(&s.rateLimited, 1)
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(wait)))
-		httpError(w, http.StatusTooManyRequests,
-			"rate limit exceeded for client %q; retry later", client)
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		httpError(w, http.StatusRequestEntityTooLarge, "request body: %v", err)
+	client, body, ok := s.readSubmission(w, r)
+	if !ok {
 		return
 	}
 	specs, err := parse(body)
@@ -376,7 +362,6 @@ func (s *Server) handleGroupSubmit(w http.ResponseWriter, r *http.Request,
 		created: time.Now(), hub: newEventHub()}
 	keyFirst := make(map[string]int, len(specs))
 	var fresh, cached []*Job
-	var pris []fleet.Priority
 	for i, ms := range specs {
 		m := &groupMember{Index: i, Desc: ms.desc, Key: ms.spec.key, DupOf: -1}
 		if fi, ok := keyFirst[ms.spec.key]; ok {
@@ -387,76 +372,21 @@ func (s *Server) handleGroupSubmit(w http.ResponseWriter, r *http.Request,
 			atomic.AddInt64(&s.dedupHits, 1)
 		} else {
 			keyFirst[ms.spec.key] = i
-			if res, ok := s.cache.get(ms.spec.key); ok {
+			m.job, m.Dedup = s.jobFor(ms.spec, client)
+			if m.Dedup {
 				atomic.AddInt64(&s.dedupHits, 1)
-				j := newCachedJob(s.newJobID(), ms.spec, res)
-				j.client = client
-				m.job, m.Dedup = j, true
-				cached = append(cached, j)
+				cached = append(cached, m.job)
 			} else {
-				j := newJob(s.newJobID(), ms.spec)
-				j.client = client
-				m.job = j
-				fresh = append(fresh, j)
-				pris = append(pris, ms.spec.pri)
+				fresh = append(fresh, m.job)
 			}
 		}
 		g.members = append(g.members, m)
 	}
-
-	// The inflight quota gates real work only, but it gates all of it at
-	// once: a group that would push the client over is rejected whole.
-	if s.cfg.MaxInflight > 0 && s.inflight(client)+len(fresh) > s.cfg.MaxInflight {
-		atomic.AddInt64(&s.rateLimited, 1)
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests,
-			"client %q: %d new jobs would exceed the %d-job inflight quota; retry later",
-			client, len(fresh), s.cfg.MaxInflight)
+	if !s.admit(w, client, fresh) {
 		return
-	}
-
-	// Journal every member submission before anything is enqueued, exactly
-	// like single-job admission: once the client holds a 202, the whole
-	// group's work is durable.
-	if s.store != nil {
-		for n, j := range fresh {
-			data, _ := json.Marshal(journalSubmission{Client: client, Req: j.spec.req})
-			if err := s.store.Journal(store.Record{
-				Kind: store.KindSubmitted, Job: j.ID, Key: j.Key, Data: data,
-			}); err != nil {
-				atomic.AddInt64(&s.walErrors, 1)
-				// Neutralize what was already journaled so recovery cannot
-				// resurrect half a group.
-				for _, p := range fresh[:n] {
-					s.journal(store.Record{Kind: store.KindCanceled, Job: p.ID,
-						Key: p.Key, Data: []byte("group admission aborted")})
-				}
-				httpError(w, http.StatusInternalServerError, "journal submission: %v", err)
-				return
-			}
-		}
 	}
 	for _, j := range cached {
 		s.register(j)
-	}
-	for _, j := range fresh {
-		s.register(j)
-	}
-	if len(fresh) > 0 && !s.sched.TryEnqueueAll(fresh, pris, client) {
-		for _, j := range fresh {
-			s.unregister(j.ID)
-			s.journal(store.Record{Kind: store.KindCanceled, Job: j.ID, Key: j.Key,
-				Data: []byte("queue full")})
-		}
-		for _, j := range cached {
-			s.unregister(j.ID)
-		}
-		atomic.AddInt64(&s.rejected, 1)
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests,
-			"queue cannot admit %d jobs atomically (capacity %d); retry later",
-			len(fresh), s.cfg.QueueDepth)
-		return
 	}
 	// The group record goes in after the member submissions: a crash between
 	// the two leaves plain jobs that still run to completion — only the
@@ -627,9 +557,7 @@ func (s *Server) handleGroupCancel(kind string) http.HandlerFunc {
 				continue
 			}
 			seen[m.job.ID] = true
-			if m.job.requestCancel() && m.job.State() == StateCanceled {
-				s.journal(store.Record{Kind: store.KindCanceled, Job: m.job.ID, Key: m.job.Key})
-			}
+			s.cancelJob(m.job)
 		}
 		s.respondGroup(w, g, http.StatusOK)
 	}

@@ -384,29 +384,21 @@ type Job struct {
 	cells  int
 	nets   int
 
-	mu          sync.Mutex
-	state       JobState
-	cancelReq   bool
-	userCancel  bool // cancelReq came from DELETE, not shutdown
-	interrupted bool // cancelReq came from shutdown: keep the WAL pending
-	started     time.Time
-	finished    time.Time
-	errMsg      string
-	result      *JobResult
-	cached      bool
+	mu         sync.Mutex
+	state      JobState
+	cancelReq  bool
+	userCancel bool // cancelReq came from DELETE, not shutdown
+	started    time.Time
+	finished   time.Time
+	errMsg     string
+	result     *JobResult
+	cached     bool
 }
 
+// newJob makes a fresh job, queued for a run.
 func newJob(id string, spec *jobSpec) *Job {
-	j := &Job{
-		ID:      id,
-		Key:     spec.key,
-		spec:    spec,
-		hub:     newEventHub(),
-		cancel:  make(chan struct{}),
-		created: time.Now(),
-		pri:     spec.pri,
-		state:   StateQueued,
-	}
+	j := jobShell(id, spec.key)
+	j.spec, j.pri, j.state = spec, spec.pri, StateQueued
 	j.hub.state(StateQueued)
 	return j
 }
@@ -414,21 +406,9 @@ func newJob(id string, spec *jobSpec) *Job {
 // newCachedJob materializes a cache hit: a job that is born done, carrying the
 // cached result, with no optimizer run behind it.
 func newCachedJob(id string, spec *jobSpec, res *JobResult) *Job {
-	j := &Job{
-		ID:      id,
-		Key:     spec.key,
-		spec:    spec,
-		hub:     newEventHub(),
-		cancel:  make(chan struct{}),
-		created: time.Now(),
-		pri:     spec.pri,
-		state:   StateDone,
-		result:  res,
-		cached:  true,
-	}
-	j.finished = j.created
-	j.hub.state(StateDone)
-	j.hub.finish()
+	j := jobShell(id, spec.key)
+	j.spec, j.pri, j.result, j.cached = spec, spec.pri, res, true
+	j.sealLocked(StateDone) // not yet shared: no lock needed
 	return j
 }
 
@@ -436,23 +416,17 @@ func newCachedJob(id string, spec *jobSpec, res *JobResult) *Job {
 // life: born done, carrying the journaled stats, with its layout left on
 // disk until someone asks for it (handleLayout reads through the cache).
 func newRecoveredJob(id string, done journalCompletion, key string) *Job {
-	j := &Job{
-		ID:      id,
-		Key:     key,
-		hub:     newEventHub(),
-		cancel:  make(chan struct{}),
-		created: time.Now(),
-		design:  done.Design,
-		cells:   done.Cells,
-		nets:    done.Nets,
-		state:   StateDone,
-		result:  &JobResult{Stats: done.Stats}, // Layout nil: lives on disk
-		cached:  true,
-	}
-	j.finished = j.created
-	j.hub.state(StateDone)
-	j.hub.finish()
+	j := jobShell(id, key)
+	j.design, j.cells, j.nets = done.Design, done.Cells, done.Nets
+	// Layout nil: it lives on disk.
+	j.result, j.cached = &JobResult{Stats: done.Stats}, true
+	j.sealLocked(StateDone) // not yet shared: no lock needed
 	return j
+}
+
+// jobShell is the stateless job the constructors above fill in.
+func jobShell(id, key string) *Job {
+	return &Job{ID: id, Key: key, hub: newEventHub(), cancel: make(chan struct{}), created: time.Now()}
 }
 
 // beginRunning moves queued → running; it returns false when the job was
@@ -477,9 +451,15 @@ func (j *Job) finishTerminal(state JobState, res *JobResult, errMsg string) {
 	if j.state.Terminal() {
 		return
 	}
-	j.state = state
 	j.result = res
 	j.errMsg = errMsg
+	j.sealLocked(state)
+}
+
+// sealLocked moves the job into a terminal state, stamps its finish time and
+// seals its event stream. Callers hold j.mu.
+func (j *Job) sealLocked(state JobState) {
+	j.state = state
 	j.finished = time.Now()
 	j.hub.state(state)
 	j.hub.finish()
@@ -489,58 +469,35 @@ func (j *Job) finishTerminal(state JobState, res *JobResult, errMsg string) {
 // running job has its cancel channel closed (the optimizer stops at the next
 // temperature boundary or sync barrier), and a terminal job is untouched.
 // It reports whether the request had any effect.
-func (j *Job) requestCancel() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch {
-	case j.state == StateQueued:
-		j.cancelReq = true
-		j.userCancel = true
-		close(j.cancel)
-		j.state = StateCanceled
-		j.finished = time.Now()
-		j.hub.state(StateCanceled)
-		j.hub.finish()
-		return true
-	case j.state == StateRunning && !j.cancelReq:
-		j.cancelReq = true
-		j.userCancel = true
-		close(j.cancel)
-		return true
-	case j.state == StateRunning:
-		// A shutdown interrupt already closed the cancel channel; record the
-		// client's intent so the cancellation is journaled, not replayed.
-		j.userCancel = true
-		return false
-	default:
-		return false
-	}
-}
+func (j *Job) requestCancel() bool { return j.stop(true) }
 
 // interrupt is the shutdown path: it stops the job like requestCancel but
-// flags it interrupted, so no terminal record is journaled — the job's
+// leaves userCancel unset, so no terminal record is journaled — the job's
 // submitted record stays pending in the WAL and the next process life
 // re-enqueues it. This is what makes a restart (graceful or SIGKILL)
 // resume the promised work instead of silently dropping it.
-func (j *Job) interrupt() {
+func (j *Job) interrupt() { j.stop(false) }
+
+// stop is requestCancel (user) and interrupt (!user). A client's cancel is
+// recorded even when a shutdown interrupt already closed the channel, so
+// the cancellation is journaled, not replayed. It reports whether this call
+// closed the cancel channel.
+func (j *Job) stop(user bool) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	switch {
-	case j.state == StateQueued:
-		j.interrupted = true
-		j.cancelReq = true
-		close(j.cancel)
-		j.state = StateCanceled
-		j.finished = time.Now()
-		j.hub.state(StateCanceled)
-		j.hub.finish()
-	case j.state == StateRunning:
-		j.interrupted = true
-		if !j.cancelReq {
-			j.cancelReq = true
-			close(j.cancel)
-		}
+	if j.state.Terminal() {
+		return false
 	}
+	j.userCancel = j.userCancel || user
+	if j.cancelReq {
+		return false
+	}
+	j.cancelReq = true
+	close(j.cancel)
+	if j.state == StateQueued {
+		j.sealLocked(StateCanceled)
+	}
+	return true
 }
 
 // requeueForRetry moves a running job whose lease expired back to queued so
@@ -557,10 +514,7 @@ func (j *Job) requeueForRetry() (requeue, cancelTerminal bool) {
 		return false, false
 	}
 	if j.cancelReq {
-		j.state = StateCanceled
-		j.finished = time.Now()
-		j.hub.state(StateCanceled)
-		j.hub.finish()
+		j.sealLocked(StateCanceled)
 		return false, true
 	}
 	j.state = StateQueued

@@ -1,23 +1,19 @@
-// The execution side of the service: the scheduler feeding a fixed pool of
-// in-process workers (external fpgaprw workers drain the same scheduler via
-// the lease handlers in fleet.go). Submission never blocks — a full queue is
-// reported to the client as backpressure (429 + Retry-After). Each run
-// threads the job's cancel channel and event hub into the optimizer, so
-// DELETE stops a run at the next temperature boundary and subscribers watch
-// per-temperature progress live.
+// The job lifecycle after admission, shared by both transports: startRun
+// moves a dequeued job to running, runSpec (exec.go) executes it, and settle
+// moves it to its terminal state. The in-process pool below calls the three
+// directly; the fleet lease handlers (fleet.go) call startRun when an
+// external fpgaprw worker leases a job and settle when it completes, so a
+// job reaches the WAL, the result cache and its event stream the same way
+// wherever it ran. Each local run threads the job's cancel channel and event
+// hub into the optimizer, so DELETE stops a run at the next temperature
+// boundary and subscribers watch per-temperature progress live.
 package server
 
 import (
-	"bytes"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/core"
-	"repro/internal/exper"
-	"repro/internal/layio"
-	"repro/internal/metrics"
 	"repro/internal/store"
 )
 
@@ -30,105 +26,72 @@ func (s *Server) worker() {
 		if !ok {
 			return
 		}
-		s.runJob(j)
+		if s.startRun(j) {
+			res, err := runSpec(j.spec, j.cancel, j.hub)
+			s.settle(j, res, err)
+		}
 	}
 }
 
-// runJob executes one dequeued job through the optimizer and moves it to its
-// terminal state, journaling each transition.
-func (s *Server) runJob(j *Job) {
+// startRun moves a dequeued job from queued to running, journals the
+// transition and counts the optimizer run. It returns false when the job was
+// canceled while queued; the caller then skips it.
+func (s *Server) startRun(j *Job) bool {
 	if !j.beginRunning() {
-		return // canceled while queued
+		return false
 	}
 	s.journal(store.Record{Kind: store.KindRunning, Job: j.ID, Key: j.Key})
 	atomic.AddInt64(&s.runs, 1)
-	start := time.Now()
-	res, layoutText, err := executeJob(j.spec, j.cancel, j.hub)
+	return true
+}
+
+// settle moves a job to its terminal state from a run's outcome, journaling
+// it, and returns that state: done with res when err is nil, canceled when
+// err is errCanceled, failed otherwise. A done result racing a cancel request
+// is reported canceled rather than published. The durability order of done
+// matters: the layout blob is written through the cache *before* the done
+// record is appended, so a journaled done always has (or at worst has since
+// evicted) its blob.
+func (s *Server) settle(j *Job, res *JobResult, err error) JobState {
 	switch {
-	case err != nil:
-		s.finishJobFailed(j, err.Error())
-	case res.Cancelled || j.cancelRequested():
-		s.finishJobCanceled(j)
-	default:
-		jr := &JobResult{
-			Layout: layoutText,
-			Stats: JobStats{
-				FullyRouted: res.FullyRouted,
-				Unrouted:    res.D,
-				GUnrouted:   res.G,
-				WCDPs:       res.WCD,
-				FinalCost:   res.FinalCost,
-				Temps:       res.Anneal.Temps,
-				Moves:       res.Anneal.TotalMoves,
-				Restarts:    res.Restarts,
-				WallMS:      float64(time.Since(start)) / float64(time.Millisecond),
-			},
+	case err == nil && !j.cancelRequested():
+		s.cache.put(j.Key, res)
+		j.finishTerminal(StateDone, res, "")
+		if s.store != nil {
+			data, _ := json.Marshal(journalCompletion{
+				Design: j.spec.designName(),
+				Cells:  j.spec.nl.NumCells(),
+				Nets:   j.spec.nl.NumNets(),
+				Stats:  res.Stats,
+			})
+			s.journal(store.Record{Kind: store.KindDone, Job: j.ID, Key: j.Key, Data: data})
 		}
-		s.finishJobDone(j, jr)
+		return StateDone
+	case err != nil && !errors.Is(err, errCanceled):
+		j.finishTerminal(StateFailed, nil, err.Error())
+		s.journal(store.Record{Kind: store.KindFailed, Job: j.ID, Key: j.Key, Data: []byte(err.Error())})
+		return StateFailed
+	default:
+		j.finishTerminal(StateCanceled, nil, "")
+		s.journalCanceled(j)
+		return StateCanceled
 	}
 }
 
-// finishJobDone moves a running job to done, journaling the completion. The
-// durability order matters: the layout blob is written through the cache
-// *before* the done record is appended, so a journaled done always has (or at
-// worst has since evicted) its blob. Shared by the in-process runner and the
-// fleet complete handler, so a remotely-run job lands in the cache and the
-// WAL exactly as a local run would.
-func (s *Server) finishJobDone(j *Job, jr *JobResult) {
-	s.cache.put(j.Key, jr)
-	j.finishTerminal(StateDone, jr, "")
-	if s.store != nil {
-		data, _ := json.Marshal(journalCompletion{
-			Design: j.spec.designName(),
-			Cells:  j.spec.nl.NumCells(),
-			Nets:   j.spec.nl.NumNets(),
-			Stats:  jr.Stats,
-		})
-		s.journal(store.Record{Kind: store.KindDone, Job: j.ID, Key: j.Key, Data: data})
+// cancelJob applies a client's cancel to one job, for DELETE on the job or on
+// its group. A job canceled straight out of the queue is journaled here; a
+// running job's record is journaled by settle once its run stops.
+func (s *Server) cancelJob(j *Job) {
+	if j.requestCancel() && j.State() == StateCanceled {
+		s.journalCanceled(j)
 	}
 }
 
-// finishJobFailed moves a running job to failed and journals the error.
-func (s *Server) finishJobFailed(j *Job, msg string) {
-	j.finishTerminal(StateFailed, nil, msg)
-	s.journal(store.Record{Kind: store.KindFailed, Job: j.ID, Key: j.Key, Data: []byte(msg)})
-}
-
-// finishJobCanceled moves a running job to canceled. Only client
+// journalCanceled journals a canceled job's terminal record. Only client
 // cancellations are journaled: a shutdown interrupt leaves the submitted
 // record pending so the next process life re-runs the job.
-func (s *Server) finishJobCanceled(j *Job) {
-	j.finishTerminal(StateCanceled, nil, "")
+func (s *Server) journalCanceled(j *Job) {
 	if j.userCanceled() {
 		s.journal(store.Record{Kind: store.KindCanceled, Job: j.ID, Key: j.Key})
 	}
-}
-
-// executeJob builds the architecture and optimizer for a validated spec and
-// runs the simultaneous flow. The cancel channel stops the run at the next
-// temperature boundary / sync barrier; mc observes every temperature (the
-// job's event hub locally, a fleet ProgressBuffer on a remote worker).
-// Cancelled runs skip layout serialization — the partial state is never
-// served.
-func executeJob(spec *jobSpec, cancel <-chan struct{}, mc metrics.Collector) (core.Result, []byte, error) {
-	a, err := exper.ArchFor(spec.nl, spec.req.Tracks)
-	if err != nil {
-		return core.Result{}, nil, fmt.Errorf("architecture: %w", err)
-	}
-	cfg := spec.coreConfig()
-	cfg.Cancel = cancel
-	cfg.Metrics = mc
-	o, err := core.New(a, spec.nl, cfg)
-	if err != nil {
-		return core.Result{}, nil, fmt.Errorf("optimizer: %w", err)
-	}
-	o, res := o.RunParallel()
-	if res.Cancelled {
-		return res, nil, nil
-	}
-	var buf bytes.Buffer
-	if err := layio.Write(&buf, o.P, o.Rts); err != nil {
-		return core.Result{}, nil, fmt.Errorf("serialize layout: %w", err)
-	}
-	return res, buf.Bytes(), nil
 }

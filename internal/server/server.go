@@ -23,10 +23,16 @@
 // params, config, seed): the optimizer is bit-exact for that tuple, so a
 // repeat submission returns the identical layout bytes without re-annealing —
 // and a lease-expiry retry on another worker reproduces the same bytes.
+//
+// Every job follows one lifecycle, whatever admitted it and wherever it
+// runs: admit (this file; single jobs and group members alike), startRun and
+// settle (queue.go), and runSpec (exec.go). The in-process pool calls the
+// steps directly and the fleet handlers call them over the lease protocol.
 package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -270,9 +276,7 @@ func (s *Server) recover() {
 		if !s.sched.TryEnqueue(j, j.pri, j.client) {
 			// More interrupted work than queue slots: fail the overflow
 			// loudly rather than block startup.
-			j.finishTerminal(StateFailed, nil, "job queue full during crash recovery")
-			s.journal(store.Record{Kind: store.KindFailed, Job: j.ID, Key: j.Key,
-				Data: []byte("job queue full during crash recovery")})
+			s.settle(j, nil, errors.New("job queue full during crash recovery"))
 		}
 	}
 }
@@ -359,6 +363,15 @@ func (s *Server) unregister(id string) {
 	}
 }
 
+// jobFromRequest resolves {id} to a job, answering 404 itself when unknown.
+func (s *Server) jobFromRequest(w http.ResponseWriter, r *http.Request) (*Job, bool) {
+	j, ok := s.lookup(r.PathValue("id"))
+	if !ok {
+		httpError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+	}
+	return j, ok
+}
+
 // lookup finds a job by id.
 func (s *Server) lookup(id string) (*Job, bool) {
 	s.mu.Lock()
@@ -381,21 +394,11 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// handleSubmit implements POST /v1/jobs: admission control (per-client rate
-// limit and inflight quota), decode and validate, serve cache hits
-// instantly, otherwise journal and enqueue with backpressure.
+// handleSubmit implements POST /v1/jobs: decode and validate, serve cache
+// hits instantly, otherwise admit the job as a one-job list.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	client := clientKey(r)
-	if wait, ok := s.limiter.allow(client, time.Now()); !ok {
-		atomic.AddInt64(&s.rateLimited, 1)
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(wait)))
-		httpError(w, http.StatusTooManyRequests,
-			"rate limit exceeded for client %q; retry later", client)
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		httpError(w, http.StatusRequestEntityTooLarge, "request body: %v", err)
+	client, body, ok := s.readSubmission(w, r)
+	if !ok {
 		return
 	}
 	spec, err := parseJobRequest(body)
@@ -404,56 +407,109 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	atomic.AddInt64(&s.submitted, 1)
-
-	if res, ok := s.cache.get(spec.key); ok {
+	j, hit := s.jobFor(spec, client)
+	if hit {
 		atomic.AddInt64(&s.cacheHits, 1)
-		j := newCachedJob(s.newJobID(), spec, res)
-		j.client = client
 		s.register(j)
 		s.respondJob(w, j, http.StatusOK)
 		return
 	}
+	if s.admit(w, client, []*Job{j}) {
+		s.respondJob(w, j, http.StatusAccepted)
+	}
+}
 
-	// The inflight quota gates real work only: cache hits above cost no
-	// worker time and are always admitted.
-	if s.cfg.MaxInflight > 0 && s.inflight(client) >= s.cfg.MaxInflight {
+// readSubmission is the front of every submit endpoint: one rate-limit token
+// per POST, whatever the number of jobs it carries, then the capped body
+// read. It answers a refusal itself and reports whether to go on.
+func (s *Server) readSubmission(w http.ResponseWriter, r *http.Request) (client string, body []byte, ok bool) {
+	client = clientKey(r)
+	if wait, ok := s.limiter.allow(client, time.Now()); !ok {
+		atomic.AddInt64(&s.rateLimited, 1)
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(wait)))
+		httpError(w, http.StatusTooManyRequests,
+			"rate limit exceeded for client %q; retry later", client)
+		return "", nil, false
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
+		httpError(w, http.StatusRequestEntityTooLarge, "request body: %v", err)
+		return "", nil, false
+	}
+	return client, body, true
+}
+
+// jobFor makes the job for one validated spec: born done from the result
+// cache on a hit, queued for a run otherwise.
+func (s *Server) jobFor(spec *jobSpec, client string) (j *Job, hit bool) {
+	if res, ok := s.cache.get(spec.key); ok {
+		j, hit = newCachedJob(s.newJobID(), spec, res), true
+	} else {
+		j = newJob(s.newJobID(), spec)
+	}
+	j.client = client
+	return j, hit
+}
+
+// admit is the one admission path for fresh jobs, shared by POST /v1/jobs and
+// the group endpoints: inflight quota, journal before enqueue, register, then
+// an all-or-nothing enqueue. On refusal it unwinds, answers the client
+// itself (429, or 500 when the journal fails) and reports false; the caller
+// then drops the jobs.
+func (s *Server) admit(w http.ResponseWriter, client string, fresh []*Job) bool {
+	// The inflight quota gates real work only (cache hits are never admitted
+	// here), but all of it at once: a group that would push the client over
+	// is rejected whole.
+	if s.cfg.MaxInflight > 0 && s.inflight(client)+len(fresh) > s.cfg.MaxInflight {
 		atomic.AddInt64(&s.rateLimited, 1)
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusTooManyRequests,
-			"client %q has %d jobs in flight (max %d); retry later",
-			client, s.cfg.MaxInflight, s.cfg.MaxInflight)
-		return
+			"client %q: %d new jobs would exceed the %d-job inflight quota; retry later",
+			client, len(fresh), s.cfg.MaxInflight)
+		return false
 	}
-
-	j := newJob(s.newJobID(), spec)
-	j.client = client
-	s.register(j)
-	// Journal before enqueue: once the client holds a 202, the submission is
+	// Journal before enqueue: once the client holds a 202, the work is
 	// durable — a crash between here and completion re-enqueues it.
 	if s.store != nil {
-		data, _ := json.Marshal(journalSubmission{Client: client, Req: spec.req})
-		if err := s.store.Journal(store.Record{
-			Kind: store.KindSubmitted, Job: j.ID, Key: j.Key, Data: data,
-		}); err != nil {
-			atomic.AddInt64(&s.walErrors, 1)
-			s.unregister(j.ID)
-			httpError(w, http.StatusInternalServerError, "journal submission: %v", err)
-			return
+		for n, j := range fresh {
+			data, _ := json.Marshal(journalSubmission{Client: client, Req: j.spec.req})
+			if err := s.store.Journal(store.Record{
+				Kind: store.KindSubmitted, Job: j.ID, Key: j.Key, Data: data,
+			}); err != nil {
+				atomic.AddInt64(&s.walErrors, 1)
+				// Recovery must not resurrect part of a group.
+				s.neutralize(fresh[:n], "admission aborted")
+				httpError(w, http.StatusInternalServerError, "journal submission: %v", err)
+				return false
+			}
 		}
 	}
-	if s.sched.TryEnqueue(j, j.pri, client) {
-		s.respondJob(w, j, http.StatusAccepted)
-		return
+	pris := make([]fleet.Priority, len(fresh))
+	for i, j := range fresh {
+		s.register(j)
+		pris[i] = j.pri
 	}
-	s.unregister(j.ID)
-	// Neutralize the submitted record: a rejected job must not be
-	// resurrected by the next recovery.
-	s.journal(store.Record{Kind: store.KindCanceled, Job: j.ID, Key: j.Key,
-		Data: []byte("queue full")})
+	if len(fresh) == 0 || s.sched.TryEnqueueAll(fresh, pris, client) {
+		return true
+	}
+	for _, j := range fresh {
+		s.unregister(j.ID)
+	}
+	// Rejected jobs must not be resurrected by the next recovery either.
+	s.neutralize(fresh, "queue full")
 	atomic.AddInt64(&s.rejected, 1)
 	w.Header().Set("Retry-After", "1")
 	httpError(w, http.StatusTooManyRequests,
-		"queue full (%d jobs); retry later", s.cfg.QueueDepth)
+		"queue full: cannot admit %d jobs (capacity %d); retry later", len(fresh), s.cfg.QueueDepth)
+	return false
+}
+
+// neutralize journals a canceled record over each journaled submission that
+// will never run.
+func (s *Server) neutralize(jobs []*Job, why string) {
+	for _, j := range jobs {
+		s.journal(store.Record{Kind: store.KindCanceled, Job: j.ID, Key: j.Key, Data: []byte(why)})
+	}
 }
 
 // inflight counts one client's live (non-terminal) jobs.
@@ -478,9 +534,8 @@ func (s *Server) respondJob(w http.ResponseWriter, j *Job, status int) {
 
 // handleStatus implements GET /v1/jobs/{id}.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r.PathValue("id"))
+	j, ok := s.jobFromRequest(w, r)
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -491,9 +546,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // of a finished layout, loadable by repro.LoadLayout against the same
 // netlist and ArchFor-derived architecture.
 func (s *Server) handleLayout(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r.PathValue("id"))
+	j, ok := s.jobFromRequest(w, r)
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
 	s.serveLayout(w, j)
@@ -525,16 +579,11 @@ func (s *Server) serveLayout(w http.ResponseWriter, j *Job) {
 
 // handleCancel implements DELETE /v1/jobs/{id}.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r.PathValue("id"))
+	j, ok := s.jobFromRequest(w, r)
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	if j.requestCancel() && j.State() == StateCanceled {
-		// Queued jobs cancel synchronously here (a running job's terminal
-		// record is journaled by its worker at the stop boundary).
-		s.journal(store.Record{Kind: store.KindCanceled, Job: j.ID, Key: j.Key})
-	}
+	s.cancelJob(j)
 	w.Header().Set("Content-Type", "application/json")
 	writeJSON(w, j.Snapshot())
 }
@@ -543,9 +592,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // history replayed, then live events until the job reaches a terminal state
 // (Server-Sent Events; event types state, phase, temp, chain).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r.PathValue("id"))
+	j, ok := s.jobFromRequest(w, r)
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
 	s.streamHub(w, r, j.hub)
