@@ -116,11 +116,11 @@ func BenchmarkFlowRuntimeSim(b *testing.B) {
 	}
 }
 
-// BenchmarkAnnealChains compares the serial engine against K-chain portfolio
+// BenchmarkAnnealChains compares one annealing chain against K-chain portfolio
 // annealing at identical per-chain effort, on a routing-constrained instance
 // (18 tracks, short schedule) where single-chain outcomes vary with the seed.
-// The portfolio's champion routes the design completely where the serial run
-// leaves nets unrouted — the quality gap shows in the final-cost and unrouted
+// The portfolio's champion routes the design completely where the single
+// chain leaves nets unrouted — the quality gap shows in the final-cost and unrouted
 // metrics. Wall-clock is the benchmark's own ns/op: chains step concurrently,
 // so with K idle cores the K-chain run costs roughly serial wall-clock; on
 // fewer cores it degrades gracefully toward K× (scheduling never changes the
@@ -145,7 +145,7 @@ func BenchmarkAnnealChains(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				_, res := o.RunParallel()
+				res := o.Run()
 				b.ReportMetric(res.WCD/1000, "wcd-ns")
 				b.ReportMetric(res.FinalCost, "final-cost")
 				b.ReportMetric(float64(res.D), "unrouted")

@@ -35,8 +35,7 @@ func main() {
 		seed       = flag.Int64("seed", 1, "random seed (quality metrics are deterministic per seed)")
 		designs    = flag.String("designs", strings.Join(exper.BenchDesigns(), ","), "comma-separated design names")
 		tracks     = flag.Int("tracks", exper.DefaultTracks, "tracks per channel")
-		chains     = flag.Int("chains", 1, "parallel annealing chains (1 = serial engine)")
-		workers    = flag.Int("workers", 0, "max chains stepped concurrently (0 = GOMAXPROCS)")
+		chains     = flag.Int("chains", 1, "parallel annealing chains")
 		out        = flag.String("out", "", "output path (default BENCH_<yyyy-mm-dd>.json; - for stdout)")
 		tracePath  = flag.String("trace", "", "also write the collector event stream to this JSONL file")
 		compare    = flag.String("compare", "", "baseline BENCH_*.json to gate against; exit 1 on regression")
@@ -73,7 +72,7 @@ func main() {
 
 	o := runOpts{
 		effortName: *effortFlag, seed: *seed, designCSV: *designs,
-		tracks: *tracks, chains: *chains, workers: *workers,
+		tracks: *tracks, chains: *chains,
 		out: *out, tracePath: *tracePath, compare: *compare, wallTol: *wallTol,
 		critWeight: *critWeight, critBias: *critBias, critDamping: *critDamping,
 		timingGate:   *timingGate,
@@ -92,7 +91,6 @@ type runOpts struct {
 	designCSV   string
 	tracks      int
 	chains      int
-	workers     int
 	out         string
 	tracePath   string
 	compare     string
@@ -108,7 +106,7 @@ type runOpts struct {
 
 func run(o runOpts) error {
 	effortName, seed, designCSV := o.effortName, o.seed, o.designCSV
-	tracks, chains, workers := o.tracks, o.chains, o.workers
+	tracks, chains := o.tracks, o.chains
 	out, tracePath, compare, wallTol := o.out, o.tracePath, o.compare, o.wallTol
 	var e exper.Effort
 	switch effortName {
@@ -120,7 +118,6 @@ func run(o runOpts) error {
 		return fmt.Errorf("unknown -effort %q (want fast or paper)", effortName)
 	}
 	e.Chains = chains
-	e.Workers = workers
 	e.CritWeight = o.critWeight
 	e.CritBias = o.critBias
 	e.CritDamping = o.critDamping

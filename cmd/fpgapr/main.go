@@ -43,7 +43,6 @@ type options struct {
 	render      bool
 	maxFanin    int
 	chains      int
-	workers     int
 
 	critWeight   float64
 	critBias     float64
@@ -71,8 +70,7 @@ func main() {
 	flag.BoolVar(&o.wirability, "wirability-only", false, "simultaneous flow: optimize routability only (no timing term)")
 	flag.BoolVar(&o.render, "render", false, "print an ASCII rendering of the finished layout")
 	flag.IntVar(&o.maxFanin, "maxfanin", 0, "technology-map the netlist to this module fanin first (0 = netlist must already be legal)")
-	flag.IntVar(&o.chains, "chains", 1, "simultaneous flow: parallel annealing chains (1 = serial engine)")
-	flag.IntVar(&o.workers, "workers", 0, "max chains stepped concurrently (0 = GOMAXPROCS; scheduling only, never results)")
+	flag.IntVar(&o.chains, "chains", 1, "simultaneous flow: parallel annealing chains")
 	flag.Float64Var(&o.critWeight, "crit-weight", 0, "simultaneous flow: weight of the criticality-weighted net-delay cost term (0 = off)")
 	flag.Float64Var(&o.critBias, "crit-bias", 0, "simultaneous flow: fraction of moves drawn from near-critical cells (0 = default when -crit-weight is set)")
 	flag.Float64Var(&o.critDamping, "crit-damping", 0, "simultaneous flow: exponential damping of per-net criticalities (0 = default when -crit-weight is set)")
@@ -164,20 +162,7 @@ func run(o options) error {
 	var lay *repro.Layout
 	switch o.flow {
 	case "sim":
-		lay, err = repro.Simultaneous(a, nl, repro.SimConfig{
-			Seed:          o.seed,
-			MovesPerCell:  o.effort,
-			MaxTemps:      o.maxTemps,
-			DisableTiming: o.wirability,
-			Chains:        o.chains,
-			Workers:       o.workers,
-			CritWeight:    o.critWeight,
-			CritBias:      o.critBias,
-			CritDamping:   o.critDamping,
-			RouteBackend:  droute.Backend(o.routeBackend),
-			RouteIters:    o.routeIters,
-			Metrics:       collectorOrNil(sum),
-		})
+		lay, err = repro.Simultaneous(a, nl, simConfig(o, sum))
 	case "seq":
 		cfg := repro.SeqConfig{Seed: o.seed, Metrics: collectorOrNil(sum)}
 		cfg.Place.MovesPerCell = o.effort
@@ -196,6 +181,24 @@ func run(o options) error {
 		return err
 	}
 	return report(lay, o, sum)
+}
+
+// simConfig maps the CLI options onto the simultaneous optimizer's
+// configuration.
+func simConfig(o options, sum *metrics.Summary) repro.SimConfig {
+	return repro.SimConfig{
+		Seed:          o.seed,
+		MovesPerCell:  o.effort,
+		MaxTemps:      o.maxTemps,
+		DisableTiming: o.wirability,
+		Chains:        o.chains,
+		CritWeight:    o.critWeight,
+		CritBias:      o.critBias,
+		CritDamping:   o.critDamping,
+		RouteBackend:  droute.Backend(o.routeBackend),
+		RouteIters:    o.routeIters,
+		Metrics:       collectorOrNil(sum),
+	}
 }
 
 // report prints the layout summary, timing verification, optional rendering
@@ -273,20 +276,7 @@ func runPortfolio(o options, a *repro.Arch, nl *repro.Netlist, sum *metrics.Summ
 	layouts := make([]*repro.Layout, len(members))
 	for i := range members {
 		m := &members[i]
-		cfg := repro.SimConfig{
-			Seed:          o.seed,
-			MovesPerCell:  o.effort,
-			MaxTemps:      o.maxTemps,
-			DisableTiming: o.wirability,
-			Chains:        o.chains,
-			Workers:       o.workers,
-			CritWeight:    o.critWeight,
-			CritBias:      o.critBias,
-			CritDamping:   o.critDamping,
-			RouteBackend:  droute.Backend(o.routeBackend),
-			RouteIters:    o.routeIters,
-			Metrics:       collectorOrNil(sum),
-		}
+		cfg := simConfig(o, sum)
 		if m.Seed != 0 {
 			cfg.Seed = m.Seed
 		}

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// tinyOpts is the shared baseline: the tiny design, low effort, serial engine.
+// tinyOpts is the shared baseline: the tiny design, low effort, one chain.
 func tinyOpts() options {
 	return options{design: "tiny", flow: "sim", tracks: 20, seed: 1,
 		effort: 5, maxTemps: 40, chains: 1}
@@ -21,7 +21,7 @@ func TestRunSimOnTiny(t *testing.T) {
 
 func TestRunSimParallelChains(t *testing.T) {
 	o := tinyOpts()
-	o.chains, o.workers = 2, 1
+	o.chains = 2
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}

@@ -39,8 +39,7 @@ func main() {
 		csvPath     = flag.String("csv", "", "write Figure 6 series to this CSV file (default stdout)")
 		seed        = flag.Int64("seed", 1, "random seed")
 		design      = flag.String("design", "s1", "design for -figure6 and -runtime")
-		chains      = flag.Int("chains", 1, "parallel annealing chains for the simultaneous flow (1 = serial)")
-		workers     = flag.Int("workers", 0, "max chains stepped concurrently (0 = GOMAXPROCS; scheduling only)")
+		chains      = flag.Int("chains", 1, "parallel annealing chains for the simultaneous flow")
 		critWeight  = flag.Float64("crit-weight", 0, "criticality-weighted net-delay cost term for the simultaneous flow (0 = off)")
 		critBias    = flag.Float64("crit-bias", 0, "fraction of moves drawn from near-critical cells (0 = default when -crit-weight is set)")
 		critDamping = flag.Float64("crit-damping", 0, "exponential damping of per-net criticalities (0 = default when -crit-weight is set)")
@@ -65,7 +64,6 @@ func main() {
 		e = exper.FastEffort()
 	}
 	e.Chains = *chains
-	e.Workers = *workers
 	e.CritWeight = *critWeight
 	e.CritBias = *critBias
 	e.CritDamping = *critDamping

@@ -23,14 +23,14 @@ func TestRunFigure6AndRuntime(t *testing.T) {
 // from a constructed effort, override Chains the way -chains does — and
 // asserts the parallel portfolio engine actually ran. This pins the fix for
 // the bug where PaperEffort()/FastEffort() left Chains zero and a -chains
-// override silently fell back to the serial engine.
+// override silently fell back to a single chain.
 func TestChainsFlagReachesParallelEngine(t *testing.T) {
 	e := exper.FastEffort()
 	if e.Chains != 1 {
 		t.Fatalf("FastEffort().Chains = %d, want 1 (explicit serial default)", e.Chains)
 	}
 	e.CoreMovesPerCell, e.CoreMaxTemps = 4, 30
-	e.Chains, e.Workers = 4, 2
+	e.Chains = 4
 
 	nl, err := exper.Design("tiny")
 	if err != nil {
@@ -45,7 +45,7 @@ func TestChainsFlagReachesParallelEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Chains != 4 {
-		t.Errorf("Result.Chains = %d, want 4: -chains did not reach RunParallel", res.Chains)
+		t.Errorf("Result.Chains = %d, want 4: -chains did not reach the chain engine", res.Chains)
 	}
 	if len(res.ChainCosts) != 4 || len(res.ChainWall) != 4 {
 		t.Errorf("per-chain reports: %d costs, %d wall entries, want 4 each",

@@ -2,7 +2,7 @@
 // synchronize every few temperatures (losers restart from a clone of the
 // champion) and keep the champion's layout. The result for a fixed
 // (seed, chains) is deterministic regardless of core count; chains=1 is
-// bit-identical to the serial engine.
+// bit-identical to the historical serial engine.
 //
 //	go run ./examples/parallel
 package main
@@ -25,8 +25,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Four chains, synchronized every 6 temperatures. Workers defaults to
-	// GOMAXPROCS and only affects scheduling, never the result.
+	// Four chains, synchronized every 6 temperatures. They run on
+	// min(GOMAXPROCS, 4) goroutines; that only affects scheduling, never
+	// the result.
 	lay, err := repro.Simultaneous(a, nl, repro.SimConfig{
 		Seed:         1,
 		MovesPerCell: 8,

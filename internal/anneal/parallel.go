@@ -1,10 +1,10 @@
 // Parallel portfolio annealing: K independent chains advance concurrently on
-// a worker pool and exchange state only at synchronization barriers, where
-// losing chains restart from a clone of the current champion (portfolio +
-// elite-migration). Because chains interact exclusively at the barriers and
-// the champion tiebreak is (cost, chain index), the outcome for a fixed
-// (seed, K, SyncTemps) is deterministic regardless of worker count or
-// goroutine scheduling.
+// a pool of min(GOMAXPROCS, K) goroutines and exchange state only at
+// synchronization barriers, where losing chains restart from a clone of the
+// current champion (portfolio + elite-migration). Because chains interact
+// exclusively at the barriers and the champion tiebreak is (cost, chain
+// index), the outcome for a fixed (seed, K, SyncTemps) is deterministic
+// regardless of GOMAXPROCS or goroutine scheduling.
 package anneal
 
 import (
@@ -34,11 +34,6 @@ type ParallelConfig struct {
 
 	// Chains is the number of independent annealing chains K (default 1).
 	Chains int
-
-	// Workers caps how many chains are stepped concurrently (default
-	// runtime.GOMAXPROCS(0), at most Chains). It affects scheduling only,
-	// never results.
-	Workers int
 
 	// SyncTemps is the number of temperature steps each chain runs between
 	// synchronization barriers (default 8).
@@ -95,13 +90,7 @@ func RunParallel(p Forkable, cfg ParallelConfig, onTemp func(chain int, p Proble
 	if k < 1 {
 		k = 1
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > k {
-		workers = k
-	}
+	workers := min(runtime.GOMAXPROCS(0), k)
 	syncTemps := cfg.SyncTemps
 	if syncTemps <= 0 {
 		syncTemps = 8
@@ -172,6 +161,8 @@ func RunParallel(p Forkable, cfg ParallelConfig, onTemp func(chain int, p Proble
 		Wall:             make([]time.Duration, k),
 		Adoptions:        make([]int, k),
 	}
+	// Only a cancel leaves the loop above with a live chain.
+	res.Result.Cancelled = anyLive(chains)
 	for i := range chains {
 		res.PerChain[i] = chains[i].Result()
 		res.Wall[i] = chains[i].wall
@@ -179,9 +170,6 @@ func RunParallel(p Forkable, cfg ParallelConfig, onTemp func(chain int, p Proble
 		if chains[i].stopped {
 			res.Result.Cancelled = true
 		}
-	}
-	if cancelled(cfg.Cancel) {
-		res.Result.Cancelled = true
 	}
 	return res
 }

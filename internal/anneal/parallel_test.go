@@ -102,30 +102,28 @@ func TestRunParallelSingleChainMatchesRun(t *testing.T) {
 	}
 }
 
-// The worker count (and GOMAXPROCS) is pure scheduling: a K-chain run must
-// produce identical results for any worker count.
+// GOMAXPROCS, which sizes the chain pool, is pure scheduling: a K-chain run
+// must produce identical results for any value.
 func TestRunParallelWorkerCountInvariant(t *testing.T) {
 	cfg := ParallelConfig{
 		Config:    Config{Seed: 11, MovesPerTemp: 120, MaxTemps: 40},
 		Chains:    5,
 		SyncTemps: 4,
 	}
-	run := func(workers, maxprocs int) ParallelResult {
+	run := func(maxprocs int) ParallelResult {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(maxprocs))
-		c := cfg
-		c.Workers = workers
-		return RunParallel(newForkableTour(20, 3), c, nil)
+		return RunParallel(newForkableTour(20, 3), cfg, nil)
 	}
-	ref := run(1, 1)
-	for _, w := range []int{2, 5, 16} {
-		got := run(w, 4)
+	ref := run(1)
+	for _, procs := range []int{2, 5, 16} {
+		got := run(procs)
 		if got.Result != ref.Result || got.Champion != ref.Champion || got.Restarts != ref.Restarts {
-			t.Errorf("workers=%d diverged: %+v vs %+v (champion %d vs %d, restarts %d vs %d)",
-				w, got.Result, ref.Result, got.Champion, ref.Champion, got.Restarts, ref.Restarts)
+			t.Errorf("GOMAXPROCS=%d diverged: %+v vs %+v (champion %d vs %d, restarts %d vs %d)",
+				procs, got.Result, ref.Result, got.Champion, ref.Champion, got.Restarts, ref.Restarts)
 		}
 		for i := range ref.PerChain {
 			if got.PerChain[i] != ref.PerChain[i] {
-				t.Errorf("workers=%d chain %d diverged: %+v vs %+v", w, i, got.PerChain[i], ref.PerChain[i])
+				t.Errorf("GOMAXPROCS=%d chain %d diverged: %+v vs %+v", procs, i, got.PerChain[i], ref.PerChain[i])
 			}
 		}
 	}
@@ -137,7 +135,6 @@ func TestRunParallelCallbacksAndChampion(t *testing.T) {
 	cfg := ParallelConfig{
 		Config:    Config{Seed: 9, MovesPerTemp: 100, MaxTemps: 30},
 		Chains:    3,
-		Workers:   2,
 		SyncTemps: 5,
 	}
 	lastStep := make([]int, cfg.Chains)
@@ -223,7 +220,7 @@ func TestChainAdoptRevives(t *testing.T) {
 	if !c.Done() {
 		t.Fatal("chain did not finish")
 	}
-	if c.Temps() >= 2000 {
+	if c.step >= 2000 {
 		t.Fatal("chain never froze; cannot test revival")
 	}
 	fresh := newForkableTour(8, 99)
@@ -231,7 +228,7 @@ func TestChainAdoptRevives(t *testing.T) {
 	if c.Done() {
 		t.Error("adopt with remaining budget must revive the chain")
 	}
-	if c.Problem() != Problem(fresh) {
+	if c.p != Problem(fresh) {
 		t.Error("adopt did not install the new problem")
 	}
 }
@@ -269,30 +266,30 @@ func (t *panickyTour) CloneProblem() Problem {
 // A panic inside one chain's moves runs on a pool goroutine, where no caller
 // can recover it. RunParallel must instead re-raise it on the caller's
 // goroutine, naming the chain and carrying the original value, for any
-// worker count.
+// pool size.
 func TestRunParallelChainPanicReachesCaller(t *testing.T) {
-	for _, workers := range []int{1, 3} {
+	for _, procs := range []int{1, 3} {
 		clones := 0
 		root := &panickyTour{forkableTour: *newForkableTour(12, 4), clones: &clones, budget: -1}
 		cfg := ParallelConfig{
 			Config:    Config{Seed: 9, MovesPerTemp: 40, MaxTemps: 20},
 			Chains:    3,
-			Workers:   workers,
 			SyncTemps: 4,
 		}
 		v := func() (v any) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			defer func() { v = recover() }()
 			RunParallel(root, cfg, nil)
 			return nil
 		}()
 		err, ok := v.(error)
 		if !ok {
-			t.Fatalf("workers=%d: recovered %T %v, want an error value", workers, v, v)
+			t.Fatalf("GOMAXPROCS=%d: recovered %T %v, want an error value", procs, v, v)
 		}
 		msg := err.Error()
 		if !strings.Contains(msg, "chain 2 panicked") || !strings.Contains(msg, "move exploded") ||
 			!strings.Contains(msg, "Propose") {
-			t.Errorf("workers=%d: panic message lacks chain, value or stack:\n%s", workers, msg)
+			t.Errorf("GOMAXPROCS=%d: panic message lacks chain, value or stack:\n%s", procs, msg)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/metrics"
 )
 
@@ -99,32 +100,74 @@ func TestCancelStopsSerialRun(t *testing.T) {
 func TestCancelStopsParallelRun(t *testing.T) {
 	a, nl := smallDesign(t)
 	cancel := make(chan struct{})
-	type out struct {
-		o   *Optimizer
-		res Result
-	}
-	done := make(chan out, 1)
+	done := make(chan Result, 1)
 	o, err := New(a, nl, Config{Seed: 7, MovesPerCell: 8, MaxTemps: 10000,
-		Chains: 3, Workers: 2, Cancel: cancel})
+		Chains: 3, Cancel: cancel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		champ, res := o.RunParallel()
-		done <- out{champ, res}
-	}()
+	go func() { done <- o.Run() }()
 	time.Sleep(30 * time.Millisecond)
 	close(cancel)
 	select {
-	case r := <-done:
-		if !r.res.Cancelled {
+	case res := <-done:
+		if !res.Cancelled {
 			t.Error("parallel Result.Cancelled not set")
 		}
-		if err := r.o.Check(); err != nil {
+		if err := o.Check(); err != nil {
 			t.Errorf("post-cancel champion state inconsistent: %v", err)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("parallel run did not stop within 30s of cancellation")
+	}
+}
+
+// TestCancelBeforeRepairIsReported closes the cancel channel after the
+// anneal has finished but before the repair phase starts. Repair is then
+// skipped, so the layout is not the deterministic one for the seed, and the
+// result must say so. A cancel that lands after the repair is harmless and
+// must leave the run reported as finished.
+func TestCancelBeforeRepairIsReported(t *testing.T) {
+	_, nl := smallDesign(t)
+	a := arch.MustNew(arch.Default(5, 12, 10))
+	for _, chains := range []int{0, 3} {
+		// run closes the cancel channel when the phase after, if given, ends.
+		run := func(after ...metrics.Phase) Result {
+			cancel := make(chan struct{})
+			cfg := Config{Seed: 3, MovesPerCell: 2, MaxTemps: 6, Chains: chains, Cancel: cancel}
+			if len(after) > 0 {
+				cfg.Metrics = phaseTrigger(func(p metrics.Phase) {
+					if p == after[0] {
+						close(cancel)
+					}
+				})
+			}
+			o, err := New(a, nl, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := o.Run()
+			if err := o.Check(); err != nil {
+				t.Errorf("chains=%d: state inconsistent: %v", chains, err)
+			}
+			return res
+		}
+		full := run()
+		if full.Cancelled || full.RepairMoves == 0 || full.D != 0 {
+			t.Fatalf("chains=%d: uncancelled run must need and finish repair: cancelled=%t repair=%d D=%d",
+				chains, full.Cancelled, full.RepairMoves, full.D)
+		}
+		cut := run(metrics.PhaseAnneal)
+		if !cut.Cancelled {
+			t.Errorf("chains=%d: cancel before repair not reported (D=%d, repair moves %d)", chains, cut.D, cut.RepairMoves)
+		}
+		if cut.RepairMoves != 0 {
+			t.Errorf("chains=%d: cancelled run still ran %d repair moves", chains, cut.RepairMoves)
+		}
+		late := run(metrics.PhaseRepair)
+		if late.Cancelled || late.D != full.D || late.FinalCost != full.FinalCost || late.RepairMoves != full.RepairMoves {
+			t.Errorf("chains=%d: cancel after repair changed the run: %+v", chains, late)
+		}
 	}
 }
 
@@ -135,3 +178,11 @@ type tempTrigger func(step int)
 func (f tempTrigger) RecordTemp(r metrics.TempRecord) { f(r.Step) }
 func (f tempTrigger) RecordPhase(metrics.PhaseRecord) {}
 func (f tempTrigger) RecordChain(metrics.ChainRecord) {}
+
+// phaseTrigger adapts a phase callback into a metrics.Collector so tests can
+// fire cancellation when a phase ends.
+type phaseTrigger func(metrics.Phase)
+
+func (f phaseTrigger) RecordTemp(metrics.TempRecord)     {}
+func (f phaseTrigger) RecordPhase(r metrics.PhaseRecord) { f(r.Phase) }
+func (f phaseTrigger) RecordChain(metrics.ChainRecord)   {}

@@ -116,16 +116,12 @@ type Config struct {
 	RangeLimit bool
 
 	// Chains selects parallel portfolio annealing: K independent chains run
-	// concurrently and exchange state at synchronization barriers (losers
-	// restart from a clone of the champion). 0 or 1 keeps the serial engine
-	// with bit-identical behavior for a fixed seed. Results for a fixed
-	// (Seed, Chains, SyncTemps) are deterministic regardless of Workers or
-	// GOMAXPROCS.
+	// concurrently on min(GOMAXPROCS, K) goroutines and exchange state at
+	// synchronization barriers (losers restart from a clone of the
+	// champion). 0 or 1 anneals a single chain, bit-identical for a fixed
+	// seed to the historical serial engine. Results for a fixed (Seed,
+	// Chains, SyncTemps) are deterministic regardless of GOMAXPROCS.
 	Chains int
-
-	// Workers caps how many chains are stepped concurrently (default
-	// runtime.GOMAXPROCS(0)). Scheduling only; never affects results.
-	Workers int
 
 	// SyncTemps is the number of temperatures between chain synchronization
 	// barriers (default 8).
@@ -138,12 +134,12 @@ type Config struct {
 	// Collection never affects results.
 	Metrics metrics.Collector
 
-	// Cancel, when non-nil, requests early termination: the serial engine
-	// polls it at temperature boundaries, the parallel engine additionally at
+	// Cancel, when non-nil, requests early termination: every chain polls it
+	// at temperature boundaries, the chain engine additionally at
 	// synchronization barriers, and the repair phase between passes. Once the
-	// channel closes the run stops at the next boundary, skips the repair
-	// phase, and reports Result.Cancelled with the consistent state of the
-	// last completed temperature. The hook is free when unset: a nil channel
+	// channel closes the run stops at the next boundary, skips the rest of
+	// the repair phase, and reports Result.Cancelled with the consistent
+	// state it stopped in. The hook is free when unset: a nil channel
 	// adds no per-move work, no allocations and no RNG draws, so results are
 	// bit-identical with or without the field. Closing the channel is the only
 	// supported signal (send never unblocks more than one poll); to drive it
@@ -236,15 +232,15 @@ type Result struct {
 	RepairFixed  int
 	FinalCost    float64
 	CriticalPath []int32
-	Cancelled    bool // run cut short by Config.Cancel (repair skipped)
+	Cancelled    bool // Config.Cancel cut the anneal or the repair short
 
 	// RouteFailed is the number of channel needs the initial constructive
 	// routing pass (Config.RouteBackend) left unrouted — the starting debt
 	// the annealer then works off.
 	RouteFailed int
 
-	// Parallel-run report; zero values on the serial path.
-	Chains           int             // number of annealing chains (0 or 1 = serial)
+	// Multi-chain report; zero values when Config.Chains <= 1.
+	Chains           int             // number of annealing chains (0 when Config.Chains <= 1)
 	Champion         int             // winning chain index
 	Restarts         int             // loser restarts performed at sync barriers
 	ChainCosts       []float64       // final annealing cost per chain
@@ -253,7 +249,7 @@ type Result struct {
 }
 
 // Optimizer is the simultaneous place-and-route engine. It implements
-// anneal.Problem; most callers just use Run.
+// anneal.Forkable; callers use Run.
 type Optimizer struct {
 	A   *arch.Arch
 	NL  *netlist.Netlist
@@ -568,39 +564,77 @@ func (o *Optimizer) D() int { return o.d }
 // WCD returns the current worst-case delay in picoseconds.
 func (o *Optimizer) WCD() float64 { return o.An.WCD() }
 
-// annealConfig is the engine configuration shared by the serial and parallel
-// paths.
-func (o *Optimizer) annealConfig() anneal.Config {
-	return anneal.Config{
-		Seed:         o.cfg.Seed + 1,
-		MovesPerTemp: o.cfg.MovesPerCell * o.NL.NumCells(),
-		MaxTemps:     o.cfg.MaxTemps,
-		Cancel:       o.cfg.Cancel,
-	}
-}
-
-// Run anneals to completion, applies the zero-temperature routability repair,
-// and reports the result.
+// Run anneals cfg.Chains portfolio chains on the chain engine (one chain
+// when Chains <= 1, annealing the receiver in place), applies the
+// zero-temperature routability repair, and reports the result. With more
+// than one chain the receiver ends up holding the champion chain's state.
 func (o *Optimizer) Run() Result {
 	o.dynamics = o.dynamics[:0]
 	o.cellEpochBase = o.epoch
 	annealDone := metrics.StartPhase(o.cfg.Metrics, metrics.PhaseAnneal)
-	ares := anneal.Run(o, o.annealConfig(), o.onTemp)
+	pres := anneal.RunParallel(o, anneal.ParallelConfig{
+		Config: anneal.Config{
+			Seed:         o.cfg.Seed + 1,
+			MovesPerTemp: o.cfg.MovesPerCell * o.NL.NumCells(),
+			MaxTemps:     o.cfg.MaxTemps,
+			Cancel:       o.cfg.Cancel,
+		},
+		Chains:    o.cfg.Chains,
+		SyncTemps: o.cfg.SyncTemps,
+	}, func(ci int, p anneal.Problem, s anneal.TempStats) {
+		// Each chain maintains its own weights, window and dynamics trace;
+		// the callback only ever touches that chain's optimizer.
+		opt := p.(*Optimizer)
+		opt.chain = ci
+		opt.onTemp(s)
+	})
 	annealDone()
-	return o.finish(ares)
+	// With K > 1 the champion may be a clone (chain 0 can even have adopted
+	// one), so the receiver takes over its state.
+	*o = *pres.Best.(*Optimizer)
+	if o.cfg.Chains <= 1 {
+		return o.finish(pres.Result)
+	}
+	if mc := o.cfg.Metrics; mc != nil {
+		for i := range pres.PerChain {
+			mc.RecordChain(metrics.ChainRecord{
+				Chain:     i,
+				Temps:     pres.PerChain[i].Temps,
+				Moves:     pres.PerChain[i].TotalMoves,
+				Accepted:  pres.PerChain[i].Accepted,
+				FinalCost: pres.PerChain[i].FinalCost,
+				Wall:      pres.Wall[i],
+				Adoptions: pres.Adoptions[i],
+				Champion:  i == pres.Champion,
+			})
+		}
+	}
+	res := o.finish(pres.Result)
+	res.Chains = o.cfg.Chains
+	res.Champion = pres.Champion
+	res.Restarts = pres.Restarts
+	res.ChampionSwitches = pres.ChampionSwitches
+	res.ChainWall = pres.Wall
+	res.ChainCosts = make([]float64, len(pres.PerChain))
+	for i := range pres.PerChain {
+		res.ChainCosts[i] = pres.PerChain[i].FinalCost
+	}
+	return res
 }
 
-// finish is the shared post-annealing tail: zero-temperature routability
-// repair, the wirability-only timing refresh, and result assembly. A
-// cancelled anneal skips the repair phase entirely so termination stays
-// prompt; the rest of the report is still assembled from the consistent
-// last-temperature state.
+// finish is the post-annealing tail: zero-temperature routability repair,
+// the wirability-only timing refresh, and result assembly. A cancelled
+// anneal skips the repair phase entirely so termination stays prompt, and a
+// cancel during repair stops it at the next pass boundary; either way the
+// result is flagged Cancelled and assembled from the consistent state the
+// run stopped in.
 func (o *Optimizer) finish(ares anneal.Result) Result {
 	var repairMoves, repairFixed int
-	if !ares.Cancelled {
+	cut := ares.Cancelled
+	if !cut {
 		rng := rand.New(rand.NewSource(o.cfg.Seed + 2))
 		repairDone := metrics.StartPhase(o.cfg.Metrics, metrics.PhaseRepair)
-		repairMoves, repairFixed = o.repair(rng)
+		repairMoves, repairFixed, cut = o.repair(rng)
 		repairDone()
 	}
 
@@ -623,63 +657,10 @@ func (o *Optimizer) finish(ares anneal.Result) Result {
 		RepairFixed:  repairFixed,
 		FinalCost:    o.Cost(),
 		CriticalPath: o.An.CriticalPath(),
-		Cancelled:    ares.Cancelled,
+		Cancelled:    cut,
 		RouteFailed:  o.initRouteFailed,
 	}
 	return res
-}
-
-// RunParallel anneals with cfg.Chains parallel portfolio chains and returns
-// the optimizer holding the winning state along with its result. With
-// Chains <= 1 it is exactly Run on the receiver (same moves, same rng
-// stream, bit-identical result); with K > 1 the returned optimizer is the
-// champion chain's state, which may be a clone of the receiver.
-func (o *Optimizer) RunParallel() (*Optimizer, Result) {
-	if o.cfg.Chains <= 1 {
-		return o, o.Run()
-	}
-	o.dynamics = o.dynamics[:0]
-	o.cellEpochBase = o.epoch
-	annealDone := metrics.StartPhase(o.cfg.Metrics, metrics.PhaseAnneal)
-	pres := anneal.RunParallel(o, anneal.ParallelConfig{
-		Config:    o.annealConfig(),
-		Chains:    o.cfg.Chains,
-		Workers:   o.cfg.Workers,
-		SyncTemps: o.cfg.SyncTemps,
-	}, func(ci int, p anneal.Problem, s anneal.TempStats) {
-		// Each chain maintains its own weights, window and dynamics trace;
-		// the callback only ever touches that chain's optimizer.
-		opt := p.(*Optimizer)
-		opt.chain = ci
-		opt.onTemp(s)
-	})
-	annealDone()
-	if mc := o.cfg.Metrics; mc != nil {
-		for i := range pres.PerChain {
-			mc.RecordChain(metrics.ChainRecord{
-				Chain:     i,
-				Temps:     pres.PerChain[i].Temps,
-				Moves:     pres.PerChain[i].TotalMoves,
-				Accepted:  pres.PerChain[i].Accepted,
-				FinalCost: pres.PerChain[i].FinalCost,
-				Wall:      pres.Wall[i],
-				Adoptions: pres.Adoptions[i],
-				Champion:  i == pres.Champion,
-			})
-		}
-	}
-	champ := pres.Best.(*Optimizer)
-	res := champ.finish(pres.Result)
-	res.Chains = o.cfg.Chains
-	res.Champion = pres.Champion
-	res.Restarts = pres.Restarts
-	res.ChampionSwitches = pres.ChampionSwitches
-	res.ChainWall = append([]time.Duration(nil), pres.Wall...)
-	res.ChainCosts = make([]float64, len(pres.PerChain))
-	for i := range pres.PerChain {
-		res.ChainCosts[i] = pres.PerChain[i].FinalCost
-	}
-	return champ, res
 }
 
 func maxInt(a, b int) int {
@@ -784,13 +765,13 @@ func (o *Optimizer) cancelPending() bool {
 // still-unrouted nets, accepting only non-worsening moves, until the layout
 // is fully routed, the pass budget is exhausted, or cancellation fires (a
 // cancel arriving mid-repair stops at the next pass boundary). Returns moves
-// tried and nets fixed.
-func (o *Optimizer) repair(rng *rand.Rand) (moves, fixed int) {
-	if o.d == 0 {
-		return 0, 0
-	}
+// tried, nets fixed, and whether a cancel cut the repair short.
+func (o *Optimizer) repair(rng *rand.Rand) (moves, fixed int, cut bool) {
 	startD := o.d
-	for pass := 0; pass < o.cfg.RepairPasses && o.d > 0 && !o.cancelPending(); pass++ {
+	for pass := 0; pass < o.cfg.RepairPasses && o.d > 0; pass++ {
+		if o.cancelPending() {
+			return moves, startD - o.d, true
+		}
 		budget := 4 * o.NL.NumCells()
 		for i := 0; i < budget && o.d > 0; i++ {
 			dC := o.proposeBiased(rng)
@@ -803,7 +784,7 @@ func (o *Optimizer) repair(rng *rand.Rand) (moves, fixed int) {
 			}
 		}
 	}
-	return moves, startD - o.d
+	return moves, startD - o.d, false
 }
 
 // proposeBiased is Propose, but the moved cell is drawn from an unrouted

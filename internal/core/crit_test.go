@@ -8,7 +8,7 @@ import (
 	"repro/internal/netgen"
 )
 
-// TestCritRunDeterministicAndConsistent: a full serial run with the
+// TestCritRunDeterministicAndConsistent: a full single-chain run with the
 // criticality term and move bias enabled is deterministic for a fixed seed,
 // routes completely, and leaves a state that passes the full invariant
 // checker (including the crit-sum cross-check).
@@ -51,24 +51,24 @@ func TestCritParallelDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := arch.MustNew(arch.Default(5, 12, 14))
-	run := func(maxprocs, workers int) Result {
+	run := func(maxprocs int) Result {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(maxprocs))
 		o, err := New(a, nl, Config{
 			Seed: 9, MovesPerCell: 3, MaxTemps: 25,
-			Chains: 3, Workers: workers, SyncTemps: 4,
+			Chains: 3, SyncTemps: 4,
 			CritWeight: 1, CritBias: 0.3,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		champ, r := o.RunParallel()
-		if err := champ.Check(); err != nil {
+		r := o.Run()
+		if err := o.Check(); err != nil {
 			t.Fatalf("champion state inconsistent: %v", err)
 		}
 		return r
 	}
-	r1 := run(1, 1)
-	r2 := run(4, 4)
+	r1 := run(1)
+	r2 := run(4)
 	if r1.WCD != r2.WCD || r1.FinalCost != r2.FinalCost || r1.Champion != r2.Champion {
 		t.Errorf("crit-on parallel run scheduling-dependent: (WCD=%.17g cost=%.17g champ=%d) vs (WCD=%.17g cost=%.17g champ=%d)",
 			r1.WCD, r1.FinalCost, r1.Champion, r2.WCD, r2.FinalCost, r2.Champion)

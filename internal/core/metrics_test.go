@@ -7,7 +7,7 @@ import (
 	"repro/internal/metrics"
 )
 
-// TestMetricsMatchAnnealTotals runs the serial engine with a Summary attached
+// TestMetricsMatchAnnealTotals runs a single chain with a Summary attached
 // and checks the collector's aggregates against the engine's own Result: one
 // TempRecord per temperature plus the warmup walk, and move/accept totals in
 // exact agreement.
@@ -85,11 +85,11 @@ func TestMetricsParallelChainRecords(t *testing.T) {
 	a, nl := smallDesign(t)
 	sum := metrics.NewSummary()
 	o, err := New(a, nl, Config{Seed: 3, MovesPerCell: 4, MaxTemps: 8,
-		Chains: 3, Workers: 2, Metrics: sum})
+		Chains: 3, Metrics: sum})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, res := o.RunParallel()
+	res := o.Run()
 	if res.Chains != 3 {
 		t.Fatalf("Result.Chains = %d, want 3", res.Chains)
 	}

@@ -34,12 +34,11 @@ type Effort struct {
 	CoreMaxTemps      int
 	RouteAttempts     int
 
-	// Chains/Workers select parallel portfolio annealing for the
-	// simultaneous flow (1 chain = the serial engine). The constructors set
-	// Chains explicitly so that a constructed Effort is always fully
-	// specified; callers (cmd/paper -chains, cmd/bench -chains) override.
-	Chains  int
-	Workers int
+	// Chains is the number of portfolio annealing chains of the
+	// simultaneous flow (1 = a single chain). The constructors set it
+	// explicitly so that a constructed Effort is always fully specified;
+	// callers (cmd/paper -chains, cmd/bench -chains) override.
+	Chains int
 
 	// Criticality-weighted timing term for the simultaneous flow (see
 	// core.Config). All zero — the term off — in both constructors; callers
@@ -66,14 +65,14 @@ type Effort struct {
 func FastEffort() Effort {
 	return Effort{Name: "fast", PlaceMovesPerCell: 6, PlaceMaxTemps: 80,
 		CoreMovesPerCell: 6, CoreMaxTemps: 80, RouteAttempts: 4,
-		Chains: 1, Workers: 0}
+		Chains: 1}
 }
 
 // PaperEffort is sized for regenerating the reported tables.
 func PaperEffort() Effort {
 	return Effort{Name: "paper", PlaceMovesPerCell: 14, PlaceMaxTemps: 200,
 		CoreMovesPerCell: 12, CoreMaxTemps: 180, RouteAttempts: 10,
-		Chains: 1, Workers: 0}
+		Chains: 1}
 }
 
 // DefaultTracks is the generous channel capacity used for the timing
@@ -156,7 +155,6 @@ func RunSim(a *arch.Arch, nl *netlist.Netlist, e Effort, seed int64, wirabilityO
 		MaxTemps:      e.CoreMaxTemps,
 		DisableTiming: wirabilityOnly,
 		Chains:        e.Chains,
-		Workers:       e.Workers,
 		CritWeight:    e.CritWeight,
 		CritBias:      e.CritBias,
 		CritDamping:   e.CritDamping,
@@ -167,13 +165,8 @@ func RunSim(a *arch.Arch, nl *netlist.Netlist, e Effort, seed int64, wirabilityO
 	if err != nil {
 		return nil, core.Result{}, 0, err
 	}
-	o, res := o.RunParallel()
+	res := o.Run()
 	return o, res, time.Since(start), nil
-}
-
-// runSim is the historical internal spelling of RunSim.
-func runSim(a *arch.Arch, nl *netlist.Netlist, e Effort, seed int64, wirabilityOnly bool) (*core.Optimizer, core.Result, time.Duration, error) {
-	return RunSim(a, nl, e, seed, wirabilityOnly)
 }
 
 // Table1Row is one line of the paper's Table 1 plus the supporting detail we
@@ -240,7 +233,7 @@ func table1Row(name string, e Effort, seed int64) (Table1Row, error) {
 	if err != nil {
 		return row, err
 	}
-	o, cres, cdur, err := runSim(aSim, nl, e, seed, false)
+	o, cres, cdur, err := RunSim(aSim, nl, e, seed, false)
 	if err != nil {
 		return row, err
 	}
@@ -306,7 +299,7 @@ func table2Row(name string, e Effort, seed int64) (Table2Row, error) {
 		return Table2Row{}, err
 	}
 	simMin, err := minTracks(nl, e, func(a *arch.Arch, s int64) (bool, error) {
-		_, res, _, err := runSim(a, nl, e, s, true)
+		_, res, _, err := RunSim(a, nl, e, s, true)
 		if err != nil {
 			return false, err
 		}
@@ -395,7 +388,7 @@ func Figure6(design string, e Effort, seed int64) ([]core.DynamicsSample, error)
 	if err != nil {
 		return nil, err
 	}
-	_, res, _, err := runSim(a, nl, e, seed, false)
+	_, res, _, err := RunSim(a, nl, e, seed, false)
 	if err != nil {
 		return nil, err
 	}
@@ -430,7 +423,7 @@ func Figure7(e Effort, seed int64) (Figure7Result, error) {
 	if err != nil {
 		return Figure7Result{}, err
 	}
-	o, res, dur, err := runSim(a, nl, e, seed, false)
+	o, res, dur, err := RunSim(a, nl, e, seed, false)
 	if err != nil {
 		return Figure7Result{}, err
 	}
@@ -459,6 +452,6 @@ func RuntimeRatio(design string, e Effort, seed int64) (seqDur, simDur time.Dura
 	if err != nil {
 		return 0, 0, err
 	}
-	_, _, simDur, err = runSim(a, nl, e, seed, false)
+	_, _, simDur, err = RunSim(a, nl, e, seed, false)
 	return seqDur, simDur, err
 }

@@ -59,7 +59,7 @@ func (p Phase) String() string {
 // move statistics, the optimizer's cost decomposition, and the router/STA
 // activity deltas accumulated during the temperature.
 type TempRecord struct {
-	Chain    int     `json:"chain"`     // chain index (0 on the serial path)
+	Chain    int     `json:"chain"`     // chain index (0 with a single chain)
 	Step     int     `json:"step"`      // 0 = warmup walk, then 1..Temps
 	Temp     float64 `json:"temp"`      // temperature
 	Moves    int     `json:"moves"`     // moves proposed at this temperature

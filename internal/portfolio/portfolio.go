@@ -34,7 +34,7 @@ type Effort struct {
 	MovesPerCell int `json:"moves_per_cell,omitempty"`
 	// MaxTemps overrides the annealing temperature cap.
 	MaxTemps int `json:"max_temps,omitempty"`
-	// Chains overrides the parallel-chain count (1 = serial engine).
+	// Chains overrides the parallel-chain count (1 = a single chain).
 	Chains int `json:"chains,omitempty"`
 }
 

@@ -35,7 +35,7 @@ var errCanceled = errors.New("run canceled")
 
 // runFlow runs a built optimizer. It is a variable only so tests can inject
 // a flow that panics.
-var runFlow = (*core.Optimizer).RunParallel
+var runFlow = (*core.Optimizer).Run
 
 // runSpec builds the architecture and optimizer for a validated spec, runs
 // the simultaneous flow, and returns the serialized layout with its stats.
@@ -62,7 +62,7 @@ func runSpec(spec *jobSpec, cancel <-chan struct{}, mc metrics.Collector) (res *
 	if err != nil {
 		return nil, fmt.Errorf("optimizer: %w", err)
 	}
-	o, r := runFlow(o)
+	r := runFlow(o)
 	if r.Cancelled {
 		return nil, errCanceled
 	}

@@ -83,17 +83,21 @@ type JobRequest struct {
 }
 
 // JobConfig is the JSON-facing subset of core.Config accepted by the service.
-// Workers is deliberately excluded from the cache key: it only affects
-// scheduling, never results.
 type JobConfig struct {
-	Seed          int64 `json:"seed,omitempty"`
-	MovesPerCell  int   `json:"moves_per_cell,omitempty"`
-	MaxTemps      int   `json:"max_temps,omitempty"`
-	Chains        int   `json:"chains,omitempty"`
-	Workers       int   `json:"workers,omitempty"`
-	SyncTemps     int   `json:"sync_temps,omitempty"`
-	RangeLimit    bool  `json:"range_limit,omitempty"`
-	DisableTiming bool  `json:"disable_timing,omitempty"`
+	Seed         int64 `json:"seed,omitempty"`
+	MovesPerCell int   `json:"moves_per_cell,omitempty"`
+	MaxTemps     int   `json:"max_temps,omitempty"`
+	Chains       int   `json:"chains,omitempty"`
+
+	// LegacyChainPool is the workers field of the retired chain worker
+	// pool (chains now run on min(GOMAXPROCS, chains) goroutines). Like
+	// LegacyRoutePool it is still accepted and range-checked, so requests
+	// and WAL records that carry it keep decoding, but it has no effect.
+	LegacyChainPool int `json:"workers,omitempty"`
+
+	SyncTemps     int  `json:"sync_temps,omitempty"`
+	RangeLimit    bool `json:"range_limit,omitempty"`
+	DisableTiming bool `json:"disable_timing,omitempty"`
 
 	// Criticality-weighted timing term (see core.Config). Result-affecting:
 	// all three participate in the cache key whenever the term is on.
@@ -232,7 +236,7 @@ func (c *JobConfig) validate() error {
 	if err := check("chains", c.Chains, maxChains); err != nil {
 		return err
 	}
-	if err := check("workers", c.Workers, maxWorkersCfg); err != nil {
+	if err := check("workers", c.LegacyChainPool, maxWorkersCfg); err != nil {
 		return err
 	}
 	if err := check("sync_temps", c.SyncTemps, maxSyncTemps); err != nil {
@@ -269,10 +273,10 @@ func (c *JobConfig) validate() error {
 // netlist, the architecture parameters, and every result-affecting config
 // field. Two requests with the same key produce bit-identical layouts (the
 // determinism contract pinned by the golden/GOMAXPROCS-invariance tests), so
-// a cache hit can be served without re-annealing. Workers and Priority are
-// excluded: both are scheduling-only — priority changes when a job runs,
-// never what it computes, so the same design submitted at different
-// priorities shares one cached result.
+// a cache hit can be served without re-annealing. Priority and the two
+// legacy pool fields are excluded: priority changes when a job runs, never
+// what it computes, so the same design submitted at different priorities
+// shares one cached result, and the pool fields have no effect at all.
 func (s *jobSpec) cacheKey() string {
 	h := sha256.New()
 	c := s.req.Config
@@ -287,7 +291,7 @@ func (s *jobSpec) cacheKey() string {
 	}
 	// Same contract for the route backend: the line is appended only when a
 	// non-default backend is selected, so ordered-backend requests keep their
-	// pre-extension keys and cached results. LegacyRoutePool never participates.
+	// pre-extension keys and cached results.
 	if c.routeOn() {
 		fmt.Fprintf(h, "route=%s iters=%d\n", c.RouteBackend, c.RouteIters)
 	}
@@ -304,7 +308,6 @@ func (s *jobSpec) coreConfig() core.Config {
 		MovesPerCell:  c.MovesPerCell,
 		MaxTemps:      c.MaxTemps,
 		Chains:        c.Chains,
-		Workers:       c.Workers,
 		SyncTemps:     c.SyncTemps,
 		RangeLimit:    c.RangeLimit,
 		DisableTiming: c.DisableTiming,

@@ -11,8 +11,8 @@ import (
 
 // TestCacheKeyCanonicalization pins the dedup property of the cache key: a
 // named design and the equivalent inline netlist hash identically, every
-// result-affecting config field feeds the key, and the scheduling-only
-// Workers field does not.
+// result-affecting config field feeds the key, and the no-effect workers
+// field does not.
 func TestCacheKeyCanonicalization(t *testing.T) {
 	named, err := buildSpec(JobRequest{Design: "tiny"})
 	if err != nil {
@@ -51,12 +51,12 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 		t.Error("tracks change did not change the cache key")
 	}
 
-	workers, err := buildSpec(JobRequest{Design: "tiny", Config: JobConfig{Workers: 7}})
+	workers, err := buildSpec(JobRequest{Design: "tiny", Config: JobConfig{LegacyChainPool: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if workers.key != named.key {
-		t.Error("scheduling-only Workers field changed the cache key")
+		t.Error("no-effect workers field changed the cache key")
 	}
 
 	// Criticality knobs are result-affecting: enabling the term changes the

@@ -24,7 +24,7 @@ func armFlowPanics(t *testing.T, n int64) {
 	var left atomic.Int64
 	left.Store(n)
 	real := runFlow
-	runFlow = func(o *core.Optimizer) (*core.Optimizer, core.Result) {
+	runFlow = func(o *core.Optimizer) core.Result {
 		if left.Add(-1) >= 0 {
 			panic("injected flow panic")
 		}

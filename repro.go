@@ -174,13 +174,13 @@ type Layout struct {
 // Simultaneous runs the paper's simultaneous place-and-route optimization.
 // With cfg.Chains > 1 the annealing runs as a parallel portfolio of chains
 // (see core.Config) and the returned layout is the champion chain's state;
-// the default is the serial engine.
+// the default is a single chain.
 func Simultaneous(a *Arch, nl *Netlist, cfg SimConfig) (*Layout, error) {
 	o, err := core.New(a, nl, cfg)
 	if err != nil {
 		return nil, err
 	}
-	o, res := o.RunParallel()
+	res := o.Run()
 	return &Layout{
 		Arch:        a,
 		Netlist:     nl,
