@@ -43,7 +43,7 @@ func main() {
 
 		critWeight  = flag.Float64("crit-weight", 0, "criticality-weighted net-delay cost term (0 = off)")
 		critBias    = flag.Float64("crit-bias", 0, "fraction of moves drawn from near-critical cells (0 = default when -crit-weight is set)")
-		critDamping = flag.Float64("crit-damping", 0, "exponential damping of per-net criticalities (0 = default when -crit-weight is set)")
+		critDamping = flag.Float64("crit-damping", 0, "exponential damping of per-net criticalities, below 1 (0 = default when -crit-weight is set)")
 		timingGate  = flag.Bool("timing-gate", false, "-compare in timing-quality mode: require geomean critical-path improvement over the baseline at <=5% total wall cost (same-machine baseline)")
 
 		routeBackend = flag.String("route-backend", "", `detailed-router backend: "ordered" (default), "negotiated" or "lagrange"`)

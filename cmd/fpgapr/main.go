@@ -25,7 +25,6 @@ import (
 
 	"repro"
 	"repro/internal/droute"
-	"repro/internal/exper"
 	"repro/internal/metrics"
 	"repro/internal/portfolio"
 )
@@ -73,7 +72,7 @@ func main() {
 	flag.IntVar(&o.chains, "chains", 1, "simultaneous flow: parallel annealing chains")
 	flag.Float64Var(&o.critWeight, "crit-weight", 0, "simultaneous flow: weight of the criticality-weighted net-delay cost term (0 = off)")
 	flag.Float64Var(&o.critBias, "crit-bias", 0, "simultaneous flow: fraction of moves drawn from near-critical cells (0 = default when -crit-weight is set)")
-	flag.Float64Var(&o.critDamping, "crit-damping", 0, "simultaneous flow: exponential damping of per-net criticalities (0 = default when -crit-weight is set)")
+	flag.Float64Var(&o.critDamping, "crit-damping", 0, "simultaneous flow: exponential damping of per-net criticalities, below 1 (0 = default when -crit-weight is set)")
 	flag.BoolVar(&o.timingDriven, "timing-driven", false, "sequential flow: run a criticality-weighted second placement pass")
 	flag.StringVar(&o.routeBackend, "route-backend", "", `detailed-router backend: "ordered" (default), "negotiated" or "lagrange"`)
 	flag.IntVar(&o.routeIters, "route-iters", 0, "iteration cap for the negotiated/lagrange route backends (0 = backend default)")
@@ -231,7 +230,7 @@ func report(lay *repro.Layout, o options, sum *metrics.Summary) error {
 	return nil
 }
 
-// parsePortfolioMatrix resolves the -portfolio argument: a preset name, or an
+// parsePortfolioMatrix reads the -portfolio argument: a preset name, or an
 // inline JSON matrix (which may itself name a preset).
 func parsePortfolioMatrix(arg string) (portfolio.Matrix, error) {
 	var m portfolio.Matrix
@@ -243,17 +242,6 @@ func parsePortfolioMatrix(arg string) (portfolio.Matrix, error) {
 		}
 	} else {
 		m.Preset = arg
-	}
-	if m.Preset != "" {
-		if m.Axes() {
-			return m, fmt.Errorf("-portfolio matrix gives both a preset %q and explicit axes", m.Preset)
-		}
-		resolved, ok := exper.PortfolioMatrix(m.Preset)
-		if !ok {
-			return m, fmt.Errorf("-portfolio: unknown preset %q (have %v, or give an inline JSON matrix)",
-				m.Preset, exper.PortfolioPresets())
-		}
-		m = resolved
 	}
 	return m, nil
 }

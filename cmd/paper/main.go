@@ -42,7 +42,7 @@ func main() {
 		chains      = flag.Int("chains", 1, "parallel annealing chains for the simultaneous flow")
 		critWeight  = flag.Float64("crit-weight", 0, "criticality-weighted net-delay cost term for the simultaneous flow (0 = off)")
 		critBias    = flag.Float64("crit-bias", 0, "fraction of moves drawn from near-critical cells (0 = default when -crit-weight is set)")
-		critDamping = flag.Float64("crit-damping", 0, "exponential damping of per-net criticalities (0 = default when -crit-weight is set)")
+		critDamping = flag.Float64("crit-damping", 0, "exponential damping of per-net criticalities, below 1 (0 = default when -crit-weight is set)")
 
 		routeBackend = flag.String("route-backend", "", `detailed-router backend for both flows: "ordered" (default), "negotiated" or "lagrange"`)
 		routeIters   = flag.Int("route-iters", 0, "iteration cap for the negotiated/lagrange route backends (0 = backend default)")

@@ -37,22 +37,20 @@ import (
 	"repro/internal/timing"
 )
 
+const (
+	pinmapProb   = 0.15 // fraction of moves that reassign a pinmap
+	repairPasses = 6    // zero-temperature routability repair passes
+)
+
 // Config tunes the simultaneous optimizer.
 type Config struct {
 	Seed         int64
-	MovesPerCell int     // moves per temperature = MovesPerCell × #cells (default 12)
-	PinmapProb   float64 // fraction of moves that reassign a pinmap (default 0.15)
-	MaxTemps     int     // temperature cap (default 300)
+	MovesPerCell int // moves per temperature = MovesPerCell × #cells (default 12)
+	MaxTemps     int // temperature cap (default 300)
 
-	// Relative emphasis of the cost components; the absolute weights are
-	// renormalized adaptively each temperature (paper §3.2). DisableTiming
-	// yields a pure wirability optimization (used by the Table-2 sweep).
-	RouteGamma    float64 // default 1.0
-	TimingGamma   float64 // default 1.0
+	// DisableTiming drops the timing term from the cost, yielding a pure
+	// wirability optimization (used by the Table-2 sweep).
 	DisableTiming bool
-
-	DrouteCost   droute.Cost // zero value selects droute.DefaultCost
-	RepairPasses int         // zero-temperature routability repair passes (default 6)
 
 	// RouteBackend selects the algorithm of the initial constructive full
 	// routing pass: the paper's ordered single-pass router (empty or
@@ -87,16 +85,16 @@ type Config struct {
 	// is unchanged. Per-net criticalities are extracted from the incremental
 	// STA once per temperature and exponentially damped (see CritDamping);
 	// the per-move cost of the term is a handful of float ops. CritWeight
-	// scales the term's share of the normalization relative to TimingGamma.
-	// 0 (the default) disables the machinery entirely: no extra state, no
-	// extra RNG draws, bit-identical fixed-seed results for every
+	// scales the term's share of the normalization relative to the timing
+	// term's. 0 (the default) disables the machinery entirely: no extra
+	// state, no extra RNG draws, bit-identical fixed-seed results for every
 	// pre-existing configuration.
 	CritWeight float64
 
 	// CritDamping is the history weight of the per-temperature criticality
 	// update: crit ← damping·crit + (1-damping)·instantaneous (default 0.6;
-	// negative selects 0, i.e. undamped tracking). Only meaningful with
-	// CritWeight > 0.
+	// negative selects 0, i.e. undamped tracking; New rejects 1 or more).
+	// Only meaningful with CritWeight > 0.
 	CritDamping float64
 
 	// CritBias is the fraction of swap moves whose moved cell is drawn from
@@ -151,35 +149,14 @@ func (c *Config) setDefaults() {
 	if c.MovesPerCell <= 0 {
 		c.MovesPerCell = 12
 	}
-	if c.PinmapProb <= 0 {
-		c.PinmapProb = 0.15
-	}
 	if c.MaxTemps <= 0 {
 		c.MaxTemps = 300
-	}
-	if c.RouteGamma <= 0 {
-		c.RouteGamma = 1.0
-	}
-	if c.TimingGamma <= 0 {
-		c.TimingGamma = 1.0
-	}
-	if c.DisableTiming {
-		c.TimingGamma = 0
-	}
-	if c.DrouteCost == (droute.Cost{}) {
-		c.DrouteCost = droute.DefaultCost()
-	}
-	if c.RepairPasses <= 0 {
-		c.RepairPasses = 6
 	}
 	if c.DCFraction == 0 {
 		c.DCFraction = 0.35
 	}
 	if c.DCFraction < 0 {
 		c.DCFraction = 0
-	}
-	if c.DisablePinmapMoves {
-		c.PinmapProb = 0
 	}
 	if c.CritWeight < 0 {
 		c.CritWeight = 0
@@ -325,6 +302,9 @@ const (
 // first routing pass, and a fully initialized timing view.
 func New(a *arch.Arch, nl *netlist.Netlist, cfg Config) (*Optimizer, error) {
 	cfg.setDefaults()
+	if cfg.CritWeight > 0 && cfg.CritDamping >= 1 {
+		return nil, fmt.Errorf("core: CritDamping %g out of range: must be below 1", cfg.CritDamping)
+	}
 	backend, err := droute.ParseBackend(string(cfg.RouteBackend))
 	if err != nil {
 		return nil, err
@@ -369,12 +349,12 @@ func New(a *arch.Arch, nl *netlist.Netlist, cfg Config) (*Optimizer, error) {
 	drouteDone := metrics.StartPhase(cfg.Metrics, metrics.PhaseDetailRoute)
 	switch backend {
 	case droute.BackendNegotiated:
-		o.initRouteFailed = droute.RouteAllNegotiated(o.F, o.Rts, cfg.DrouteCost, droute.NegotiateConfig{
+		o.initRouteFailed = droute.RouteAllNegotiated(o.F, o.Rts, droute.DefaultCost(), droute.NegotiateConfig{
 			MaxIters: cfg.RouteIters,
 			Seed:     cfg.Seed,
 		})
 	case droute.BackendLagrange:
-		o.initRouteFailed = droute.RouteAllLagrange(o.F, o.Rts, cfg.DrouteCost, droute.LagrangeConfig{
+		o.initRouteFailed = droute.RouteAllLagrange(o.F, o.Rts, droute.DefaultCost(), droute.LagrangeConfig{
 			MaxIters: cfg.RouteIters,
 			Seed:     cfg.Seed,
 		})
@@ -382,24 +362,14 @@ func New(a *arch.Arch, nl *netlist.Netlist, cfg Config) (*Optimizer, error) {
 		// A single ordered pass consuming no RNG draws beyond placement's:
 		// the annealer works off the remaining debt move by move, exactly as
 		// in the pre-backend engine.
-		o.initRouteFailed = droute.RouteAllDetailed(o.F, o.Rts, cfg.DrouteCost, 1, rng)
+		o.initRouteFailed = droute.RouteAllDetailed(o.F, o.Rts, droute.DefaultCost(), 1, rng)
 	}
 	drouteDone()
 	o.recountGD()
 	if o.timingOn() {
-		an.Begin()
-		for id := range o.Rts {
-			if len(nl.Nets[id].Sinks) == 0 {
-				continue
-			}
-			d, err := o.netDelays(int32(id))
-			if err != nil {
-				return nil, err
-			}
-			an.SetNetDelays(int32(id), d)
+		if err := o.RefreshTiming(); err != nil {
+			return nil, err
 		}
-		an.Propagate()
-		an.Commit()
 	}
 	if o.critOn() {
 		o.crit = timing.NewCriticality(an, cfg.CritDamping)
@@ -457,7 +427,7 @@ func (o *Optimizer) rebuildCritState() {
 // timingOn reports whether the timing term participates in the optimization.
 // When it does not (the pure-wirability mode of the Table-2 sweep), delay
 // evaluation and propagation are skipped entirely.
-func (o *Optimizer) timingOn() bool { return o.cfg.TimingGamma > 0 }
+func (o *Optimizer) timingOn() bool { return !o.cfg.DisableTiming }
 
 // RefreshTiming fills the timing view from the current routes regardless of
 // mode; wirability-only callers use it to obtain a final WCD report.
@@ -521,8 +491,8 @@ func (o *Optimizer) refreshWeights() {
 	if dRef < 0.04*n {
 		dRef = 0.04 * n
 	}
-	o.wg = o.cfg.RouteGamma / gRef
-	o.wd = o.cfg.RouteGamma / dRef
+	o.wg = 1 / gRef
+	o.wd = 1 / dRef
 	if !o.timingOn() {
 		o.wt = 0
 		return
@@ -531,7 +501,7 @@ func (o *Optimizer) refreshWeights() {
 	if t <= 0 {
 		t = 1
 	}
-	o.wt = o.cfg.TimingGamma / t
+	o.wt = 1 / t
 	if !o.critOn() {
 		o.wcr = 0
 		return
@@ -540,7 +510,7 @@ func (o *Optimizer) refreshWeights() {
 	if cs <= 0 {
 		cs = 1
 	}
-	o.wcr = o.cfg.CritWeight * o.cfg.TimingGamma / cs
+	o.wcr = o.cfg.CritWeight / cs
 }
 
 // Cost implements anneal.Problem. The D term carries a fractional
@@ -768,7 +738,7 @@ func (o *Optimizer) cancelPending() bool {
 // tried, nets fixed, and whether a cancel cut the repair short.
 func (o *Optimizer) repair(rng *rand.Rand) (moves, fixed int, cut bool) {
 	startD := o.d
-	for pass := 0; pass < o.cfg.RepairPasses && o.d > 0; pass++ {
+	for pass := 0; pass < repairPasses && o.d > 0; pass++ {
 		if o.cancelPending() {
 			return moves, startD - o.d, true
 		}

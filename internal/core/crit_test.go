@@ -89,3 +89,24 @@ func TestCritDefaultsApplied(t *testing.T) {
 		t.Errorf("crit-off config gained crit defaults: %+v", z)
 	}
 }
+
+// TestCritDampingOutOfRangeRejected: the criticality extractor cannot damp
+// with a history weight of 1 or more, so New must reject one instead of
+// silently running undamped. Negative values still select 0.
+func TestCritDampingOutOfRangeRejected(t *testing.T) {
+	nl, err := netgen.Generate(netgen.Params{Name: "t", Inputs: 4, Outputs: 3, Seq: 2, Comb: 30, Seed: 51})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := arch.MustNew(arch.Default(5, 12, 14))
+	for _, d := range []float64{1, 5} {
+		if _, err := New(a, nl, Config{Seed: 3, CritWeight: 1, CritDamping: d}); err == nil {
+			t.Errorf("CritDamping %g accepted", d)
+		}
+	}
+	for _, d := range []float64{-1, 0.99} {
+		if _, err := New(a, nl, Config{Seed: 3, CritWeight: 1, CritDamping: d}); err != nil {
+			t.Errorf("CritDamping %g rejected: %v", d, err)
+		}
+	}
+}

@@ -25,7 +25,7 @@ type jEntry struct {
 // reroute, update timing, and return the cost delta. Accept or Reject must
 // follow.
 func (o *Optimizer) Propose(rng *rand.Rand) float64 {
-	if o.cfg.PinmapProb > 0 && rng.Float64() < o.cfg.PinmapProb {
+	if !o.cfg.DisablePinmapMoves && rng.Float64() < pinmapProb {
 		cell := int32(rng.Intn(o.NL.NumCells()))
 		nv := uint8((int(o.P.Pm[cell]) + 1 + rng.Intn(arch.NumPinmaps-1)) % arch.NumPinmaps)
 		return o.proposePinmap(cell, nv)
@@ -208,7 +208,7 @@ func (o *Optimizer) rerouteAndTime() {
 		if !r.DetailDone() {
 			o.journalNet(id, false)
 			u0 := r.UnroutedChans()
-			missing := droute.RouteNet(o.F, id, r, o.cfg.DrouteCost)
+			missing := droute.RouteNet(o.F, id, r, droute.DefaultCost())
 			o.dc += missing - u0
 			if missing == 0 {
 				o.d--

@@ -16,11 +16,8 @@ import (
 // paper (it is the direction detailed FPGA routing took) and is offered as
 // an opt-in alternative to the ordered single-pass router of [8][11].
 type NegotiateConfig struct {
-	MaxIters     int     // negotiation iterations (default 40)
-	PresentBase  float64 // first-iteration sharing penalty (default 0.5)
-	PresentGrow  float64 // multiplicative growth per iteration (default 1.6)
-	HistoryDelta float64 // history added to each over-subscribed segment per iteration (default 1.0)
-	Seed         int64   // seed for the ordered-router fallback on non-convergent instances
+	MaxIters int   // negotiation iterations (default 40)
+	Seed     int64 // seed for the ordered-router fallback on non-convergent instances
 
 	// FallbackAttempts is the ordering-retry budget of the ordered-router
 	// fallback on non-convergent instances (default 8).
@@ -31,19 +28,17 @@ func (c *NegotiateConfig) setDefaults() {
 	if c.MaxIters <= 0 {
 		c.MaxIters = 40
 	}
-	if c.PresentBase <= 0 {
-		c.PresentBase = 0.5
-	}
-	if c.PresentGrow <= 1 {
-		c.PresentGrow = 1.6
-	}
-	if c.HistoryDelta <= 0 {
-		c.HistoryDelta = 1.0
-	}
 	if c.FallbackAttempts <= 0 {
 		c.FallbackAttempts = 8
 	}
 }
+
+// The negotiation schedule.
+const (
+	presentBase  = 0.5 // first-iteration sharing penalty
+	presentGrow  = 1.6 // multiplicative growth of the sharing penalty per iteration
+	historyDelta = 1.0 // history added to each over-subscribed segment per iteration
+)
 
 // negItem identifies one unrouted channel need during negotiation.
 type negItem struct {
@@ -198,7 +193,7 @@ func negotiateChannel(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, cfg
 		choices[i].track = -1
 	}
 
-	pres := cfg.PresentBase
+	pres := presentBase
 	for iter := 0; iter < cfg.MaxIters; iter++ {
 		// Rip everything (occupancy only) and re-route in index order.
 		for t := range occ {
@@ -250,13 +245,13 @@ func negotiateChannel(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, cfg
 			for s := c.segLo; s <= c.segHi; s++ {
 				if occ[c.track][s] > 1 {
 					clean = false
-					hist[c.track][s] += cfg.HistoryDelta
+					hist[c.track][s] += historyDelta
 				}
 			}
 		}
 		if clean {
 			return
 		}
-		pres *= cfg.PresentGrow
+		pres *= presentGrow
 	}
 }

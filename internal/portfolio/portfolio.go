@@ -14,6 +14,7 @@ package portfolio
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/droute"
@@ -64,14 +65,32 @@ func (e Effort) label() string {
 // base config's seed", the zero Effort means "the base config's effort", and
 // the empty backend means "the base config's route backend".
 type Matrix struct {
-	// Preset names a server-side matrix (see exper.PortfolioMatrix). When
-	// set, no explicit axis may be given; the caller resolves the name to a
-	// concrete Matrix before Expand.
+	// Preset names one of the concrete matrices in presets, which Expand
+	// resolves. When set, no explicit axis may be given.
 	Preset string `json:"preset,omitempty"`
 
 	Seeds    []int64  `json:"seeds,omitempty"`
 	Efforts  []Effort `json:"efforts,omitempty"`
 	Backends []string `json:"backends,omitempty"`
+}
+
+// presets are the named matrices. They are concrete, so the daemon and the
+// CLI expand them identically and a preset sweep is reproducible on either
+// side. Nothing modifies them.
+var presets = map[string]Matrix{
+	// Pure seed diversity at the submitted effort.
+	"seeds4": {Seeds: []int64{1, 2, 3, 4}},
+	"seeds8": {Seeds: []int64{1, 2, 3, 4, 5, 6, 7, 8}},
+	// The EXPERIMENTS.md portfolio-of-8: 2 seeds × 2 effort points
+	// (FastEffort- and PaperEffort-class core knobs) × 2 router backends.
+	"paper8": {
+		Seeds: []int64{1, 2},
+		Efforts: []Effort{
+			{Name: "fast", MovesPerCell: 6, MaxTemps: 80},
+			{Name: "deep", MovesPerCell: 12, MaxTemps: 180},
+		},
+		Backends: []string{"ordered", "lagrange"},
+	},
 }
 
 // Axes reports whether any explicit axis is populated.
@@ -117,15 +136,23 @@ func (m *Member) Desc() string {
 	return strings.Join(parts, " ")
 }
 
-// Expand validates the matrix and produces its ordered member list. A
-// matrix still carrying an unresolved preset is rejected — name resolution
-// is the caller's job, so the expansion itself stays a pure function.
+// Expand resolves a preset, validates the matrix and produces its ordered
+// member list.
 func (m *Matrix) Expand() ([]Member, error) {
 	if m.Preset != "" {
 		if m.Axes() {
 			return nil, fmt.Errorf("portfolio: matrix gives both a preset %q and explicit axes", m.Preset)
 		}
-		return nil, fmt.Errorf("portfolio: unresolved matrix preset %q", m.Preset)
+		p, ok := presets[m.Preset]
+		if !ok {
+			names := make([]string, 0, len(presets))
+			for name := range presets {
+				names = append(names, name)
+			}
+			sort.Strings(names)
+			return nil, fmt.Errorf("portfolio: unknown matrix preset %q (have %v)", m.Preset, names)
+		}
+		return p.Expand()
 	}
 	if !m.Axes() {
 		return nil, fmt.Errorf("portfolio: empty matrix (need at least one of seeds, efforts or backends)")

@@ -52,13 +52,46 @@ func TestExpandEmptyAxesInherit(t *testing.T) {
 	}
 }
 
+// TestExpandResolvesPreset: a named preset expands to the same members as
+// its concrete matrix.
+func TestExpandResolvesPreset(t *testing.T) {
+	cases := []struct {
+		preset string
+		m      Matrix
+	}{
+		{"seeds4", Matrix{Seeds: []int64{1, 2, 3, 4}}},
+		{"seeds8", Matrix{Seeds: []int64{1, 2, 3, 4, 5, 6, 7, 8}}},
+		{"paper8", Matrix{
+			Seeds: []int64{1, 2},
+			Efforts: []Effort{
+				{Name: "fast", MovesPerCell: 6, MaxTemps: 80},
+				{Name: "deep", MovesPerCell: 12, MaxTemps: 180},
+			},
+			Backends: []string{"ordered", "lagrange"},
+		}},
+	}
+	for _, tc := range cases {
+		got, err := (&Matrix{Preset: tc.preset}).Expand()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.preset, err)
+		}
+		want, err := tc.m.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s expands to %+v, want %+v", tc.preset, got, want)
+		}
+	}
+}
+
 func TestExpandRejections(t *testing.T) {
 	cases := []struct {
 		name string
 		m    Matrix
 	}{
 		{"empty", Matrix{}},
-		{"unresolved preset", Matrix{Preset: "paper8"}},
+		{"unknown preset", Matrix{Preset: "nope"}},
 		{"preset plus axes", Matrix{Preset: "paper8", Seeds: []int64{1}}},
 		{"negative seed", Matrix{Seeds: []int64{-1}}},
 		{"bad backend", Matrix{Backends: []string{"warp"}}},

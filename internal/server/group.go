@@ -30,7 +30,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/exper"
 	"repro/internal/portfolio"
 	"repro/internal/store"
 )
@@ -95,25 +94,14 @@ func parseBatchRequest(body []byte) ([]memberSpec, error) {
 	return specs, nil
 }
 
-// parsePortfolioRequest decodes one portfolio body, resolves its matrix
-// preset, expands the matrix, and validates every member as a full job spec.
+// parsePortfolioRequest decodes one portfolio body, expands its matrix, and
+// validates every member as a full job spec.
 func parsePortfolioRequest(body []byte) ([]memberSpec, error) {
 	var req PortfolioRequest
 	if err := decodeStrict(body, &req); err != nil {
 		return nil, err
 	}
-	matrix := req.Matrix
-	if matrix.Preset != "" {
-		if matrix.Axes() {
-			return nil, fmt.Errorf("matrix gives both a preset %q and explicit axes", matrix.Preset)
-		}
-		resolved, ok := exper.PortfolioMatrix(matrix.Preset)
-		if !ok {
-			return nil, fmt.Errorf("unknown matrix preset %q (have %v)", matrix.Preset, exper.PortfolioPresets())
-		}
-		matrix = resolved
-	}
-	members, err := matrix.Expand()
+	members, err := req.Matrix.Expand()
 	if err != nil {
 		return nil, err
 	}

@@ -337,39 +337,7 @@ func (t *Analyzer) CriticalPath() []int32 {
 			worst, wv = p, v
 		}
 	}
-	var rev []int32
-	cell := worst.Cell
-	rev = append(rev, cell)
-	// Walk upstream from the worst pin's driver.
-	nid := t.nl.Cells[worst.Cell].In[worst.Pin-1]
-	cell = t.nl.Nets[nid].Driver.Cell
-	for {
-		rev = append(rev, cell)
-		if t.nl.IsSource(cell) {
-			break
-		}
-		c := &t.nl.Cells[cell]
-		best := int32(-1)
-		bv := -1.0
-		for pi, in := range c.In {
-			if in < 0 {
-				continue
-			}
-			v := t.arr[t.nl.Nets[in].Driver.Cell] + t.netDelay[in][t.sinkIdx[cell][pi]]
-			if v > bv {
-				bv = v
-				best = t.nl.Nets[in].Driver.Cell
-			}
-		}
-		if best < 0 {
-			break
-		}
-		cell = best
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
+	return t.traceBack(worst)
 }
 
 // levelHeap is a binary min-heap of cells keyed by level.
