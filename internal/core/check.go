@@ -90,7 +90,7 @@ func (o *Optimizer) Check() error {
 		if len(o.NL.Nets[id].Sinks) == 0 {
 			continue
 		}
-		want, err := o.netDelays(int32(id))
+		want, err := o.dcalc.Delays(o.P, int32(id), &o.Rts[id])
 		if err != nil {
 			return fmt.Errorf("core: net %d: %w", id, err)
 		}

@@ -38,8 +38,9 @@ import (
 )
 
 const (
-	pinmapProb   = 0.15 // fraction of moves that reassign a pinmap
-	repairPasses = 6    // zero-temperature routability repair passes
+	pinmapProb    = 0.15 // fraction of moves that reassign a pinmap
+	repairPasses  = 6    // zero-temperature routability repair passes
+	critThreshold = 0.75 // damped criticality at which a net is near-critical for CritBias
 )
 
 // Config tunes the simultaneous optimizer.
@@ -102,10 +103,6 @@ type Config struct {
 	// attention where timing is won (default 0.25 with CritWeight on;
 	// negative disables biasing while keeping the cost term).
 	CritBias float64
-
-	// CritThreshold is the damped criticality at or above which a net counts
-	// as near-critical for move biasing (default 0.75).
-	CritThreshold float64
 
 	// RangeLimit enables TimberWolf-style adaptive move-range windows (the
 	// "technical improvements ... for increased speed" direction of the
@@ -173,12 +170,6 @@ func (c *Config) setDefaults() {
 		}
 		if c.CritBias < 0 {
 			c.CritBias = 0
-		}
-		if c.CritThreshold <= 0 {
-			c.CritThreshold = 0.75
-		}
-		if c.CritThreshold > 1 {
-			c.CritThreshold = 1
 		}
 	}
 }
@@ -264,7 +255,6 @@ type Optimizer struct {
 	estLen   []float64
 	dynamics []DynamicsSample
 	dcalc    timing.DelayCalc
-	estBuf   []float64
 
 	// Criticality-weighted timing term (CritWeight extension). All nil/zero
 	// when the extension is off; none of it is touched then, keeping the
@@ -414,7 +404,7 @@ func (o *Optimizer) rebuildCritState() {
 		}
 		o.netMaxD[id] = m
 		o.critSum += crit[id] * m
-		if crit[id] >= o.cfg.CritThreshold {
+		if crit[id] >= critThreshold {
 			net := &o.NL.Nets[id]
 			mark(net.Driver.Cell)
 			for _, s := range net.Sinks {
@@ -432,32 +422,7 @@ func (o *Optimizer) timingOn() bool { return !o.cfg.DisableTiming }
 // RefreshTiming fills the timing view from the current routes regardless of
 // mode; wirability-only callers use it to obtain a final WCD report.
 func (o *Optimizer) RefreshTiming() error {
-	o.An.Begin()
-	for id := range o.Rts {
-		if len(o.NL.Nets[id].Sinks) == 0 {
-			continue
-		}
-		d, err := o.netDelays(int32(id))
-		if err != nil {
-			o.An.Revert()
-			return err
-		}
-		o.An.SetNetDelays(int32(id), d)
-	}
-	o.An.Propagate()
-	o.An.Commit()
-	return nil
-}
-
-// netDelays returns the current best-known per-sink delays for a net:
-// detailed Elmore when fully embedded, the spatial estimator otherwise. The
-// returned slice is only valid until the next call (the analyzer copies it).
-func (o *Optimizer) netDelays(id int32) ([]float64, error) {
-	if o.Rts[id].DetailDone() {
-		return o.dcalc.NetDelays(o.P, id, &o.Rts[id], 1.0)
-	}
-	o.estBuf = timing.AppendEstimateDelays(o.estBuf[:0], o.P, id)
-	return o.estBuf, nil
+	return o.An.Fill(o.P, o.Rts, &o.dcalc)
 }
 
 // recountGD recomputes G, D and the missing-channel count from scratch.

@@ -80,12 +80,12 @@ func TestCritParallelDeterministicAcrossGOMAXPROCS(t *testing.T) {
 func TestCritDefaultsApplied(t *testing.T) {
 	c := Config{CritWeight: 2}
 	c.setDefaults()
-	if c.CritDamping != 0.6 || c.CritBias != 0.25 || c.CritThreshold != 0.75 {
-		t.Errorf("crit defaults not applied: damping=%v bias=%v threshold=%v", c.CritDamping, c.CritBias, c.CritThreshold)
+	if c.CritDamping != 0.6 || c.CritBias != 0.25 {
+		t.Errorf("crit defaults not applied: damping=%v bias=%v", c.CritDamping, c.CritBias)
 	}
 	z := Config{}
 	z.setDefaults()
-	if z.CritWeight != 0 || z.CritDamping != 0 || z.CritBias != 0 || z.CritThreshold != 0 {
+	if z.CritWeight != 0 || z.CritDamping != 0 || z.CritBias != 0 {
 		t.Errorf("crit-off config gained crit defaults: %+v", z)
 	}
 }

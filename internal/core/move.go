@@ -235,7 +235,7 @@ func (o *Optimizer) rerouteAndTime() {
 		if !e.ripped && o.Rts[e.id].Equal(&e.old) {
 			continue // attempted but unchanged, pins unmoved: delays stand
 		}
-		d, err := o.netDelays(e.id)
+		d, err := o.dcalc.Delays(o.P, e.id, &o.Rts[e.id])
 		if err != nil {
 			panic("core: " + err.Error())
 		}

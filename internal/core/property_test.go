@@ -67,7 +67,7 @@ func TestIncrementalStateAgreesWithRecompute(t *testing.T) {
 			arch:  shifted,
 			comb:  22,
 			seq:   3,
-			cfg:   Config{CritWeight: 0.5, CritBias: 0.4, CritThreshold: 0.5, RangeLimit: true},
+			cfg:   Config{CritWeight: 0.5, CritBias: 0.4, RangeLimit: true},
 			seeds: []int64{9},
 		},
 	}

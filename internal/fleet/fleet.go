@@ -3,8 +3,8 @@
 //
 //   - Scheduler: the queue discipline that replaces the plain FIFO — three
 //     priority classes (low/normal/high) with aging so low-priority work
-//     cannot starve, and per-client weighted round-robin fair queueing
-//     inside each class.
+//     cannot starve, and per-client round-robin fair queueing inside each
+//     class.
 //   - LeaseManager + Registry: job leases with heartbeat renewal and
 //     expiry (a crashed or partitioned worker's job is detected and handed
 //     back for re-enqueue), plus worker registration and drain.

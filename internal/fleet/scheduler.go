@@ -14,9 +14,6 @@ type SchedulerConfig struct {
 	// N*AgingStep is served as if it were N classes higher (capped at high).
 	// 0 selects DefaultAgingStep; negative disables aging.
 	AgingStep time.Duration
-	// Weights optionally gives some clients more than one dequeue per
-	// round-robin turn. Absent clients weigh 1.
-	Weights map[string]int
 	// Clock is the time source (tests inject a fake one; nil = time.Now).
 	Clock func() time.Time
 }
@@ -34,11 +31,10 @@ type entry[T any] struct {
 	enqueued time.Time
 }
 
-// clientQueue is one client's FIFO inside one class, plus its WRR credit.
+// clientQueue is one client's FIFO inside one class.
 type clientQueue[T any] struct {
 	client string
 	items  []entry[T]
-	credit int
 }
 
 // class is one priority level: per-client queues and the round-robin ring
@@ -50,10 +46,10 @@ type class[T any] struct {
 }
 
 // Scheduler is the fleet queue discipline: strict priority across classes
-// (after aging promotion), weighted round-robin across clients within a
-// class, FIFO within a client. With a single client and a single class it
-// degenerates to exactly the plain FIFO it replaced. Safe for concurrent
-// use; Dequeue blocks until work arrives or stop fires.
+// (after aging promotion), round-robin across clients within a class, FIFO
+// within a client. With a single client and a single class it degenerates to
+// exactly the plain FIFO it replaced. Safe for concurrent use; Dequeue blocks
+// until work arrives or stop fires.
 type Scheduler[T any] struct {
 	mu      sync.Mutex
 	cfg     SchedulerConfig
@@ -215,7 +211,7 @@ func (s *Scheduler[T]) removeFromRingLocked(c *class[T], i int) {
 	}
 }
 
-// pickLocked dequeues the next item: highest effective class first, weighted
+// pickLocked dequeues the next item: highest effective class first,
 // round-robin across that class's clients, FIFO within a client.
 func (s *Scheduler[T]) pickLocked(now time.Time) (entry[T], bool) {
 	s.promoteLocked(now)
@@ -228,17 +224,13 @@ func (s *Scheduler[T]) pickLocked(now time.Time) (entry[T], bool) {
 			c.cursor = 0
 		}
 		q := c.ring[c.cursor]
-		if q.credit <= 0 {
-			q.credit = s.weight(q.client)
-		}
 		e := q.items[0]
 		q.items = q.items[1:]
-		q.credit--
 		s.size--
 		if len(q.items) == 0 {
 			s.removeFromRingLocked(c, c.cursor)
 			delete(c.queues, q.client)
-		} else if q.credit <= 0 {
+		} else {
 			c.cursor++
 			if c.cursor >= len(c.ring) {
 				c.cursor = 0
@@ -247,14 +239,6 @@ func (s *Scheduler[T]) pickLocked(now time.Time) (entry[T], bool) {
 		return e, true
 	}
 	return entry[T]{}, false
-}
-
-// weight returns a client's WRR weight (>= 1).
-func (s *Scheduler[T]) weight(client string) int {
-	if w, ok := s.cfg.Weights[client]; ok && w > 1 {
-		return w
-	}
-	return 1
 }
 
 // TryDequeue removes and returns the next scheduled item without blocking.

@@ -149,20 +149,6 @@ func TestSchedulerFairness(t *testing.T) {
 		[]string{"a", "b", "c", "a", "b", "c", "a", "b", "c"})
 }
 
-// TestSchedulerWeights: a weight-2 client gets two dequeues per turn.
-func TestSchedulerWeights(t *testing.T) {
-	s := NewScheduler[string](SchedulerConfig{
-		Weights: map[string]int{"heavy": 2},
-		Clock:   newTestClock().Now,
-	})
-	for i := 0; i < 4; i++ {
-		s.TryEnqueue("h", PriorityNormal, "heavy")
-		s.TryEnqueue("l", PriorityNormal, "light")
-	}
-	wantOrder(t, drain(t, s, 8),
-		[]string{"h", "h", "l", "h", "h", "l", "l", "l"})
-}
-
 // TestSchedulerCapacity: TryEnqueue bounds the queue; EnqueueFront (the
 // lease-expiry path) deliberately does not, and its item is served next.
 func TestSchedulerCapacity(t *testing.T) {

@@ -41,7 +41,7 @@ func TimingRefine(f *fabric.Fabric, p *layout.Placement, routes []fabric.NetRout
 	var dc timing.DelayCalc
 	for _, id := range order {
 		r := &routes[id]
-		before, derr := dc.NetDelays(p, id, r, 1.0)
+		before, derr := dc.Delays(p, id, r)
 		if derr != nil {
 			return improved, derr
 		}
@@ -66,7 +66,7 @@ func TimingRefine(f *fabric.Fabric, p *layout.Placement, routes []fabric.NetRout
 		}
 		better := false
 		if ok {
-			after, derr := dc.NetDelays(p, id, r, 1.0)
+			after, derr := dc.Delays(p, id, r)
 			if derr != nil {
 				return improved, derr
 			}
@@ -89,7 +89,7 @@ func TimingRefine(f *fabric.Fabric, p *layout.Placement, routes []fabric.NetRout
 		improved++
 		// Feed the better delays into the analyzer so later nets see the
 		// updated criticalities' arrival context.
-		after, derr := dc.NetDelays(p, id, r, 1.0)
+		after, derr := dc.Delays(p, id, r)
 		if derr != nil {
 			return improved, derr
 		}

@@ -160,24 +160,10 @@ func Run(a *arch.Arch, nl *netlist.Netlist, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	an.Begin()
-	for id := range routes {
-		if len(nl.Nets[id].Sinks) == 0 {
-			continue
-		}
-		var d []float64
-		if routes[id].DetailDone() {
-			d, err = timing.NetDelays(p, int32(id), &routes[id], 1.0)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			d = timing.EstimateDelays(p, int32(id))
-		}
-		an.SetNetDelays(int32(id), d)
+	if err := an.Fill(p, routes, &timing.DelayCalc{}); err != nil {
+		return nil, err
 	}
-	res.WCD = an.Propagate()
-	an.Commit()
+	res.WCD = an.WCD()
 	res.CriticalCells = an.CriticalPath()
 	timingDone()
 	return res, nil
@@ -191,15 +177,10 @@ func criticalityWeights(nl *netlist.Netlist, p *layout.Placement, critWeight flo
 	if err != nil {
 		return nil, err
 	}
-	an.Begin()
-	for id := range nl.Nets {
-		if len(nl.Nets[id].Sinks) == 0 {
-			continue
-		}
-		an.SetNetDelays(int32(id), timing.EstimateDelays(p, int32(id)))
+	// No net is routed yet, so every net takes the estimate.
+	if err := an.Fill(p, make([]fabric.NetRoute, nl.NumNets()), &timing.DelayCalc{}); err != nil {
+		return nil, err
 	}
-	an.Propagate()
-	an.Commit()
 	// One shot, no history to damp: the shared extractor with damping 0
 	// yields exactly the instantaneous criticalities.
 	ext := timing.NewCriticality(an, 0)

@@ -15,7 +15,7 @@
 // processes lease jobs.
 //
 // Jobs flow through a bounded scheduler — priority classes with aging, then
-// weighted round-robin across clients, then FIFO — into the in-process worker
+// round-robin across clients, then FIFO — into the in-process worker
 // pool and any leased-out external workers; a full queue answers 429 with
 // Retry-After rather than blocking or buffering unboundedly. With a single
 // client submitting at one priority the scheduler degenerates to exactly the
@@ -90,9 +90,6 @@ type Config struct {
 	// AgingStep is the queue-wait per one-class priority promotion
 	// (0 = fleet.DefaultAgingStep; negative disables aging).
 	AgingStep time.Duration
-	// ClientWeights optionally gives some clients more than one dequeue per
-	// fair-queueing turn; absent clients weigh 1.
-	ClientWeights map[string]int
 }
 
 func (c *Config) setDefaults() {
@@ -173,7 +170,6 @@ func New(cfg Config) *Server {
 		sched: fleet.NewScheduler[*Job](fleet.SchedulerConfig{
 			Capacity:  cfg.QueueDepth,
 			AgingStep: cfg.AgingStep,
-			Weights:   cfg.ClientWeights,
 		}),
 		quit:     make(chan struct{}),
 		cache:    newResultCache(cfg.CacheEntries, cfg.Store),
@@ -411,11 +407,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if hit {
 		atomic.AddInt64(&s.cacheHits, 1)
 		s.register(j)
-		s.respondJob(w, j, http.StatusOK)
+		s.respondJob(w, j.Snapshot(), http.StatusOK)
 		return
 	}
+	// Snapshot before admitting: once enqueued, a worker may start the job
+	// before the 202 is written, and the body reports it as admitted.
+	st := j.Snapshot()
 	if s.admit(w, client, []*Job{j}) {
-		s.respondJob(w, j, http.StatusAccepted)
+		s.respondJob(w, st, http.StatusAccepted)
 	}
 }
 
@@ -525,11 +524,11 @@ func (s *Server) inflight(client string) int {
 	return n
 }
 
-func (s *Server) respondJob(w http.ResponseWriter, j *Job, status int) {
+func (s *Server) respondJob(w http.ResponseWriter, st JobStatus, status int) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Location", "/v1/jobs/"+j.ID)
+	w.Header().Set("Location", "/v1/jobs/"+st.ID)
 	w.WriteHeader(status)
-	writeJSON(w, j.Snapshot())
+	writeJSON(w, st)
 }
 
 // handleStatus implements GET /v1/jobs/{id}.

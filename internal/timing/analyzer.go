@@ -3,6 +3,8 @@ package timing
 import (
 	"fmt"
 
+	"repro/internal/fabric"
+	"repro/internal/layout"
 	"repro/internal/netlist"
 )
 
@@ -246,6 +248,26 @@ func (t *Analyzer) SetNetDelays(id int32, d []float64) {
 		t.jOldDelay[last] = append(t.jOldDelay[last][:0], t.netDelay[id]...)
 	}
 	copy(t.netDelay[id], d)
+}
+
+// Fill loads every net's in-loop delays (dc.Delays) as one move, propagates
+// and commits. On an error it reverts, leaving the committed state as it was.
+func (t *Analyzer) Fill(p *layout.Placement, routes []fabric.NetRoute, dc *DelayCalc) error {
+	t.Begin()
+	for id := range routes {
+		if len(t.nl.Nets[id].Sinks) == 0 {
+			continue
+		}
+		d, err := dc.Delays(p, int32(id), &routes[id])
+		if err != nil {
+			t.Revert()
+			return err
+		}
+		t.SetNetDelays(int32(id), d)
+	}
+	t.Propagate()
+	t.Commit()
+	return nil
 }
 
 // Propagate pushes the consequences of all SetNetDelays calls in this move

@@ -209,6 +209,8 @@ type DelayCalc struct {
 	order, stack []int
 	parentR      []float64
 	down, delay  []float64
+
+	est []float64 // Delays' estimate buffer
 }
 
 // addTap records a tap in the dense per-channel scratch, tracking first
@@ -234,6 +236,19 @@ func resizeFloats(s *[]float64, n int) []float64 {
 	}
 	*s = (*s)[:n]
 	return *s
+}
+
+// Delays returns the in-loop delay model's per-sink delays for a net (paper
+// §3.5): Elmore at wire load 1.0 once the net is completely detail-routed,
+// the spatial estimate otherwise. Every timing view the annealer, the
+// sequential flow and the layout facade keep is filled through it. The
+// returned slice is valid until the next call.
+func (dc *DelayCalc) Delays(p *layout.Placement, id int32, r *fabric.NetRoute) ([]float64, error) {
+	if r.DetailDone() {
+		return dc.NetDelays(p, id, r, 1.0)
+	}
+	dc.est = AppendEstimateDelays(dc.est[:0], p, id)
+	return dc.est, nil
 }
 
 // NetDelays is the reusing variant of the package-level NetDelays.

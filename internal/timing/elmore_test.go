@@ -297,3 +297,89 @@ func TestVerifyAgreement(t *testing.T) {
 		t.Errorf("agreement %.3f outside [0.85, 1.0] (paper: within 90%%)", res.Agreement)
 	}
 }
+
+// TestAnalyzerFill: Fill gives completely routed nets their Elmore delays at
+// wire load 1.0 and any other net the estimate, agrees with a manual
+// per-net fill, and on a failing route reverts to the committed state.
+func TestAnalyzerFill(t *testing.T) {
+	nl, err := netgen.Generate(netgen.Params{Name: "t", Inputs: 4, Outputs: 3, Seq: 2, Comb: 30, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := arch.MustNew(arch.Default(5, 16, 30))
+	p, _, routes, failed := routeDesign(t, a, nl, 3)
+	if failed > 0 {
+		t.Fatalf("%d nets unrouted despite generous fabric", failed)
+	}
+	first, last := int32(-1), int32(-1)
+	for id := range routes {
+		if len(nl.Nets[id].Sinks) > 0 {
+			if first < 0 {
+				first = int32(id)
+			}
+			last = int32(id)
+		}
+	}
+	saved := routes[first].Clone()
+	routes[first].Reset()
+
+	an, err := NewAnalyzer(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dc DelayCalc
+	if err := an.Fill(p, routes, &dc); err != nil {
+		t.Fatal(err)
+	}
+	manual, err := NewAnalyzer(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	manual.Begin()
+	for id := range routes {
+		if len(nl.Nets[id].Sinks) == 0 {
+			continue
+		}
+		want := EstimateDelays(p, int32(id))
+		if int32(id) != first {
+			if want, err = NetDelays(p, int32(id), &routes[id], 1.0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for si, v := range an.NetDelay(int32(id)) {
+			if v != want[si] {
+				t.Fatalf("net %d sink %d: Fill stored %v, want %v", id, si, v, want[si])
+			}
+		}
+		manual.SetNetDelays(int32(id), want)
+	}
+	manual.Propagate()
+	manual.Commit()
+	if an.WCD() != manual.WCD() {
+		t.Fatalf("Fill WCD %v, manual fill %v", an.WCD(), manual.WCD())
+	}
+
+	// Restore the reset net (a real delay change) and give the last net a
+	// route that reports DetailDone but misses its driver channel: Fill
+	// must fail and leave the committed view untouched.
+	arr, wcd := analyzerArrivals(an, nl), an.WCD()
+	est := append([]float64(nil), an.NetDelay(first)...)
+	routes[first] = saved
+	routes[last] = fabric.NetRoute{Global: true}
+	if err := an.Fill(p, routes, &dc); err == nil {
+		t.Fatal("Fill accepted a route that misses its driver channel")
+	}
+	for i, v := range analyzerArrivals(an, nl) {
+		if v != arr[i] {
+			t.Fatalf("cell %d arrival %v after failed Fill, want %v", i, v, arr[i])
+		}
+	}
+	if an.WCD() != wcd {
+		t.Errorf("WCD %v after failed Fill, want %v", an.WCD(), wcd)
+	}
+	for si, v := range an.NetDelay(first) {
+		if v != est[si] {
+			t.Errorf("net %d sink %d delay %v after failed Fill, want %v", first, si, v, est[si])
+		}
+	}
+}

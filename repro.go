@@ -313,25 +313,9 @@ func (l *Layout) analyzer() (*timing.Analyzer, error) {
 	if err != nil {
 		return nil, err
 	}
-	an.Begin()
-	for id := range l.Routes {
-		if len(l.Netlist.Nets[id].Sinks) == 0 {
-			continue
-		}
-		var d []float64
-		if l.Routes[id].DetailDone() {
-			d, err = timing.NetDelays(l.Placement, int32(id), &l.Routes[id], 1.0)
-			if err != nil {
-				an.Revert()
-				return nil, err
-			}
-		} else {
-			d = timing.EstimateDelays(l.Placement, int32(id))
-		}
-		an.SetNetDelays(int32(id), d)
+	if err := an.Fill(l.Placement, l.Routes, &timing.DelayCalc{}); err != nil {
+		return nil, err
 	}
-	an.Propagate()
-	an.Commit()
 	return an, nil
 }
 
