@@ -10,6 +10,7 @@ package droute
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -27,20 +28,22 @@ func DefaultCost() Cost { return Cost{WWaste: 1, WSegs: 4} }
 
 // PickTrack returns the cheapest feasible track for covering columns
 // [lo, hi] in channel ch, or ok=false when no track has the needed free run.
+// It visits only the tracks of the fabric's free-track mask, in ascending
+// order, and keeps the first of equally cheap tracks.
 func PickTrack(f *fabric.Fabric, ch, lo, hi int, cost Cost) (track, segLo, segHi int, ok bool) {
 	a := f.A
 	best := math.Inf(1)
 	track = -1
-	for t := 0; t < a.Tracks; t++ {
-		sl, sh := a.SegRange(t, lo, hi)
-		if !f.HRangeFree(ch, t, sl, sh) {
-			continue
-		}
-		segs := a.Seg[t]
-		waste := float64((segs[sh].End - segs[sl].Start) - (hi - lo + 1))
-		c := cost.WWaste*waste + cost.WSegs*float64(sh-sl+1)
-		if c < best {
-			best, track, segLo, segHi = c, t, sl, sh
+	for w, free := range f.FreeTracks(ch, lo, hi) {
+		for ; free != 0; free &= free - 1 {
+			t := w<<6 | bits.TrailingZeros64(free)
+			sl, sh := a.SegRange(t, lo, hi)
+			segs := a.Seg[t]
+			waste := float64((segs[sh].End - segs[sl].Start) - (hi - lo + 1))
+			c := cost.WWaste*waste + cost.WSegs*float64(sh-sl+1)
+			if c < best {
+				best, track, segLo, segHi = c, t, sl, sh
+			}
 		}
 	}
 	return track, segLo, segHi, track >= 0

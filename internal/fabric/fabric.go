@@ -53,12 +53,22 @@ type Fabric struct {
 	h [][][]int32 // [channel][track][segment] -> owning net or Free
 	v [][][]int32 // [column][vtrack][vsegment] -> owning net or Free
 
+	// free is the free-track bitmask: the fw words at (ch*Cols+col)*fw hold
+	// one bit per track, set iff the horizontal segment covering col on that
+	// track is free. AllocH and FreeH keep it in step with h.
+	free    []uint64
+	fw      int      // words per (channel, column) mask: ceil(Tracks/64)
+	scratch []uint64 // FreeTracks' result, reused so route search allocates nothing
+
 	usedH, usedV int
 }
 
 // New returns an empty fabric for the architecture.
 func New(a *arch.Arch) *Fabric {
-	f := &Fabric{A: a}
+	f := &Fabric{A: a, fw: (a.Tracks + 63) / 64}
+	f.free = make([]uint64, a.Channels()*a.Cols*f.fw)
+	f.scratch = make([]uint64, f.fw)
+	f.fillFree()
 	f.h = make([][][]int32, a.Channels())
 	for ch := range f.h {
 		f.h[ch] = make([][]int32, a.Tracks)
@@ -87,7 +97,9 @@ func New(a *arch.Arch) *Fabric {
 // Clone returns a deep copy of the ownership tables, sharing only the
 // immutable architecture.
 func (f *Fabric) Clone() *Fabric {
-	c := &Fabric{A: f.A, Stats: f.Stats, usedH: f.usedH, usedV: f.usedV}
+	c := &Fabric{A: f.A, Stats: f.Stats, usedH: f.usedH, usedV: f.usedV, fw: f.fw}
+	c.free = append([]uint64(nil), f.free...)
+	c.scratch = make([]uint64, f.fw)
 	c.h = make([][][]int32, len(f.h))
 	for ch := range f.h {
 		c.h[ch] = make([][]int32, len(f.h[ch]))
@@ -121,7 +133,58 @@ func (f *Fabric) Reset() {
 			}
 		}
 	}
+	f.fillFree()
 	f.usedH, f.usedV = 0, 0
+}
+
+// fillFree marks every track free in every (channel, column) mask: it writes
+// one column's words and then doubles the filled prefix with copy.
+func (f *Fabric) fillFree() {
+	col := f.free[:f.fw]
+	for w := range col {
+		col[w] = ^uint64(0)
+	}
+	if r := f.A.Tracks % 64; r != 0 {
+		col[f.fw-1] = 1<<r - 1
+	}
+	for n := f.fw; n < len(f.free); n *= 2 {
+		copy(f.free[n:], f.free[:n])
+	}
+}
+
+// markH sets (free) or clears (!free) track's bit in the masks of every
+// column covered by horizontal segments [segLo, segHi] of channel ch.
+func (f *Fabric) markH(ch, track, segLo, segHi int, free bool) {
+	segs := f.A.Seg[track]
+	row := ch * f.A.Cols
+	masks := f.free[(row+segs[segLo].Start)*f.fw : (row+segs[segHi].End)*f.fw]
+	bit := uint64(1) << (track & 63)
+	if free {
+		for i := track >> 6; i < len(masks); i += f.fw {
+			masks[i] |= bit
+		}
+	} else {
+		for i := track >> 6; i < len(masks); i += f.fw {
+			masks[i] &^= bit
+		}
+	}
+}
+
+// FreeTracks returns the tracks of channel ch that are free over every
+// column of [lo, hi], as a bitmask (bit t%64 of word t/64 for track t): the
+// tracks on which a net spanning [lo, hi] can be detail-routed. The slice is
+// scratch owned by the fabric and valid until the next FreeTracks call.
+func (f *Fabric) FreeTracks(ch, lo, hi int) []uint64 {
+	m := f.scratch
+	i := (ch*f.A.Cols + lo) * f.fw
+	end := (ch*f.A.Cols + hi + 1) * f.fw
+	copy(m, f.free[i:i+f.fw])
+	for i += f.fw; i < end; i += f.fw {
+		for w := range m {
+			m[w] &= f.free[i+w]
+		}
+	}
+	return m
 }
 
 // HOwner returns the net owning horizontal segment (ch, track, seg), or Free.
@@ -164,6 +227,7 @@ func (f *Fabric) AllocH(ch, track, segLo, segHi int, net int32) {
 		}
 		row[i] = net
 	}
+	f.markH(ch, track, segLo, segHi, false)
 	f.usedH += segHi - segLo + 1
 }
 
@@ -177,6 +241,7 @@ func (f *Fabric) FreeH(ch, track, segLo, segHi int, net int32) {
 		}
 		row[i] = Free
 	}
+	f.markH(ch, track, segLo, segHi, true)
 	f.usedH -= segHi - segLo + 1
 }
 

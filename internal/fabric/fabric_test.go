@@ -195,6 +195,12 @@ func TestCheckConsistentCatchesDrift(t *testing.T) {
 	if err := fab.CheckConsistent(routes); err != nil {
 		t.Fatalf("consistent state rejected: %v", err)
 	}
+	// Mask drift: one free-track bit flipped with the ownership tables intact.
+	mask := fab.Clone()
+	mask.free[(2*a.Cols+5)*mask.fw] ^= 1 << 3
+	if err := mask.CheckConsistent(routes); err == nil {
+		t.Error("free-track mask drift not detected")
+	}
 	// Drift: free a segment behind the route's back.
 	fab.FreeH(1, 0, sl, sl, 0)
 	if err := fab.CheckConsistent(routes); err == nil {

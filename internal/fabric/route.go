@@ -128,7 +128,9 @@ func (r *NetRoute) AntifuseCount() int {
 
 // CheckConsistent verifies that the ownership tables are exactly the union of
 // the given routes: every resource held by route i is owned by net i in the
-// fabric and vice versa. Used by tests and the optimizer's self-checks.
+// fabric and vice versa. It also recomputes the free-track masks from the
+// ownership tables and compares them word for word. Used by tests and the
+// optimizer's self-checks.
 func (f *Fabric) CheckConsistent(routes []NetRoute) error {
 	a := f.A
 	wantH := make(map[[3]int]int32)
@@ -189,6 +191,36 @@ func (f *Fabric) CheckConsistent(routes []NetRoute) error {
 					return fmt.Errorf("fabric: vseg col=%d t=%d s=%d owner=%d want=%d", c, t, s, owner, want)
 				}
 			}
+		}
+	}
+	return f.checkFreeMasks()
+}
+
+// checkFreeMasks recomputes the free-track masks from the ownership tables
+// and compares them word for word with the maintained ones.
+func (f *Fabric) checkFreeMasks() error {
+	a := f.A
+	want := make([]uint64, len(f.free))
+	for ch, tracks := range f.h {
+		row := ch * a.Cols * f.fw
+		for t, owners := range tracks {
+			bit := uint64(1) << (t & 63)
+			for s, owner := range owners {
+				if owner != Free {
+					continue
+				}
+				seg := a.Seg[t][s]
+				for i := row + seg.Start*f.fw + t>>6; i < row+seg.End*f.fw; i += f.fw {
+					want[i] |= bit
+				}
+			}
+		}
+	}
+	for i, w := range want {
+		if f.free[i] != w {
+			col := i / f.fw
+			return fmt.Errorf("fabric: free-track mask ch=%d col=%d word %d = %#x want %#x",
+				col/a.Cols, col%a.Cols, i%f.fw, f.free[i], w)
 		}
 	}
 	return nil

@@ -10,15 +10,20 @@ import (
 
 // Analyzer maintains worst-case arrival times over an evolving layout. Cells
 // are levelized once (levels depend only on connectivity); after that, net
-// delay changes are propagated incrementally through a level-ordered frontier
+// delay changes are propagated incrementally through a level-bucket frontier
 // (paper §3.5) with journaled undo so the annealer can reject moves cheaply.
 //
 // Usage per move: Begin, then SetNetDelays for every affected net, then
 // Propagate to get the new worst-case delay; finally Commit or Revert.
 type Analyzer struct {
-	nl    *netlist.Netlist
-	level []int32
-	order []int32 // cell ids sorted by level, for full recomputation
+	nl *netlist.Netlist
+	// qlevel is each cell's level, or -1 for a timing source (whose arrival
+	// never depends on inputs, so the frontier never queues it).
+	qlevel []int32
+	order  []int32 // cell ids sorted by level, for full recomputation
+	// levelStart[L] is the index in order (and in slab) of the first
+	// level-L cell; levelStart[maxLevel+1] is the cell count.
+	levelStart []int32
 
 	arr      []float64   // per cell: output arrival time
 	netDelay [][]float64 // per net: per-sink interconnect delay
@@ -37,8 +42,15 @@ type Analyzer struct {
 	stamp      []uint32 // per cell: epoch when journaled
 	netStamp   []uint32 // per net: epoch when journaled
 	epoch      uint32
-	frontier   levelHeap
 	inFrontier []uint32 // per cell: epoch when enqueued
+
+	// Level-bucket frontier. The cells of level L queued in this Propagate
+	// are slab[levelStart[L] : levelStart[L]+bucketLen[L]]. A cell is queued
+	// at most once per Propagate, so a bucket never outgrows its level's
+	// cell count. loLevel..hiLevel brackets the non-empty buckets.
+	slab             []int32
+	bucketLen        []int32
+	loLevel, hiLevel int32
 }
 
 // Stats counts incremental-analysis activity: how many net-delay updates were
@@ -71,12 +83,8 @@ func NewAnalyzer(nl *netlist.Netlist) (*Analyzer, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Analyzer{nl: nl, level: level}
+	t := &Analyzer{nl: nl, qlevel: level}
 	n := nl.NumCells()
-	t.order = make([]int32, n)
-	for i := range t.order {
-		t.order[i] = int32(i)
-	}
 	// Counting-sort cells by level.
 	maxL := int32(0)
 	for _, l := range level {
@@ -84,13 +92,23 @@ func NewAnalyzer(nl *netlist.Netlist) (*Analyzer, error) {
 			maxL = l
 		}
 	}
-	buckets := make([][]int32, maxL+1)
-	for i := int32(0); i < int32(n); i++ {
-		buckets[level[i]] = append(buckets[level[i]], i)
+	t.levelStart = make([]int32, maxL+2)
+	for _, l := range level {
+		t.levelStart[l+1]++
 	}
-	t.order = t.order[:0]
-	for _, b := range buckets {
-		t.order = append(t.order, b...)
+	for l := 1; l < len(t.levelStart); l++ {
+		t.levelStart[l] += t.levelStart[l-1]
+	}
+	next := append([]int32(nil), t.levelStart[:maxL+1]...)
+	t.order = make([]int32, n)
+	for i, l := range level {
+		t.order[next[l]] = int32(i)
+		next[l]++
+	}
+	for i := range level { // level is t.qlevel: mark the sources
+		if nl.IsSource(int32(i)) {
+			level[i] = -1
+		}
 	}
 
 	t.arr = make([]float64, n)
@@ -123,6 +141,8 @@ func NewAnalyzer(nl *netlist.Netlist) (*Analyzer, error) {
 	t.stamp = make([]uint32, n)
 	t.netStamp = make([]uint32, nl.NumNets())
 	t.inFrontier = make([]uint32, n)
+	t.slab = make([]int32, n)
+	t.bucketLen = make([]int32, maxL+1)
 	t.Full()
 	return t, nil
 }
@@ -135,19 +155,22 @@ func (t *Analyzer) Clone() *Analyzer {
 		panic("timing: Clone inside an open move")
 	}
 	c := &Analyzer{
-		nl:       t.nl,
-		level:    t.level,
-		order:    t.order,
-		arr:      append([]float64(nil), t.arr...),
-		netDelay: make([][]float64, len(t.netDelay)),
-		sinkIdx:  t.sinkIdx,
-		sinkPins: t.sinkPins,
-		wcd:      t.wcd,
-		stats:    t.stats,
+		nl:         t.nl,
+		qlevel:     t.qlevel,
+		order:      t.order,
+		levelStart: t.levelStart,
+		arr:        append([]float64(nil), t.arr...),
+		netDelay:   make([][]float64, len(t.netDelay)),
+		sinkIdx:    t.sinkIdx,
+		sinkPins:   t.sinkPins,
+		wcd:        t.wcd,
+		stats:      t.stats,
 
 		stamp:      make([]uint32, len(t.stamp)),
 		netStamp:   make([]uint32, len(t.netStamp)),
 		inFrontier: make([]uint32, len(t.inFrontier)),
+		slab:       make([]int32, len(t.slab)),
+		bucketLen:  make([]int32, len(t.bucketLen)),
 	}
 	for i := range t.netDelay {
 		c.netDelay[i] = append([]float64(nil), t.netDelay[i]...)
@@ -273,35 +296,45 @@ func (t *Analyzer) Fill(p *layout.Placement, routes []fabric.NetRoute, dc *Delay
 // Propagate pushes the consequences of all SetNetDelays calls in this move
 // through the levelized frontier and returns the new worst-case delay. It may
 // be called once per move, after all delay updates.
+//
+// The frontier drains its level buckets from the lowest queued level up. A
+// relaxed cell only queues cells of strictly higher levels, and every input
+// of a level-L cell is final once the buckets below L are drained, so the
+// order within a bucket changes no arrival.
 func (t *Analyzer) Propagate() float64 {
 	if !t.inMove {
 		panic("timing: Propagate outside a move")
 	}
 	t.stats.Propagates++
-	t.frontier = t.frontier[:0]
+	t.loLevel, t.hiLevel = int32(len(t.bucketLen)), -1
 	for _, nid := range t.jNets {
 		for _, s := range t.nl.Nets[nid].Sinks {
 			t.push(s.Cell)
 		}
 	}
-	for len(t.frontier) > 0 {
-		cell := t.pop()
-		nv := t.computeArr(cell)
-		if nv == t.arr[cell] {
-			continue
-		}
-		if t.stamp[cell] != t.epoch {
-			t.stamp[cell] = t.epoch
-			t.jCells = append(t.jCells, cell)
-			t.jOldArr = append(t.jOldArr, t.arr[cell])
-		}
-		t.arr[cell] = nv
-		t.stats.CellsRelaxed++
-		if out := t.nl.Cells[cell].Out; out >= 0 {
-			for _, s := range t.nl.Nets[out].Sinks {
-				t.push(s.Cell)
+	for l := t.loLevel; l <= t.hiLevel; l++ {
+		bucket := t.slab[t.levelStart[l]:]
+		for i := int32(0); i < t.bucketLen[l]; i++ {
+			cell := bucket[i]
+			t.inFrontier[cell] = 0
+			nv := t.computeArr(cell)
+			if nv == t.arr[cell] {
+				continue
+			}
+			if t.stamp[cell] != t.epoch {
+				t.stamp[cell] = t.epoch
+				t.jCells = append(t.jCells, cell)
+				t.jOldArr = append(t.jOldArr, t.arr[cell])
+			}
+			t.arr[cell] = nv
+			t.stats.CellsRelaxed++
+			if out := t.nl.Cells[cell].Out; out >= 0 {
+				for _, s := range t.nl.Nets[out].Sinks {
+					t.push(s.Cell)
+				}
 			}
 		}
+		t.bucketLen[l] = 0
 	}
 	t.wcd = t.scanWCD()
 	return t.wcd
@@ -310,17 +343,15 @@ func (t *Analyzer) Propagate() float64 {
 // push enqueues a cell unless it is a timing source (whose arrival never
 // depends on inputs) or already queued this move.
 func (t *Analyzer) push(cell int32) {
-	if t.nl.IsSource(cell) || t.inFrontier[cell] == t.epoch {
+	l := t.qlevel[cell]
+	if l < 0 || t.inFrontier[cell] == t.epoch {
 		return
 	}
 	t.inFrontier[cell] = t.epoch
-	t.frontier.push(cell, t.level[cell])
-}
-
-func (t *Analyzer) pop() int32 {
-	cell := t.frontier.pop()
-	t.inFrontier[cell] = 0
-	return cell
+	t.slab[t.levelStart[l]+t.bucketLen[l]] = cell
+	t.bucketLen[l]++
+	t.loLevel = min(t.loLevel, l)
+	t.hiLevel = max(t.hiLevel, l)
 }
 
 // Commit closes the move keeping the new state.
@@ -360,49 +391,4 @@ func (t *Analyzer) CriticalPath() []int32 {
 		}
 	}
 	return t.traceBack(worst)
-}
-
-// levelHeap is a binary min-heap of cells keyed by level.
-type levelHeap []levelItem
-
-type levelItem struct {
-	cell  int32
-	level int32
-}
-
-func (h *levelHeap) push(cell, level int32) {
-	*h = append(*h, levelItem{cell, level})
-	i := len(*h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if (*h)[p].level <= (*h)[i].level {
-			break
-		}
-		(*h)[p], (*h)[i] = (*h)[i], (*h)[p]
-		i = p
-	}
-}
-
-func (h *levelHeap) pop() int32 {
-	top := (*h)[0].cell
-	last := len(*h) - 1
-	(*h)[0] = (*h)[last]
-	*h = (*h)[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < last && (*h)[l].level < (*h)[m].level {
-			m = l
-		}
-		if r < last && (*h)[r].level < (*h)[m].level {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		(*h)[i], (*h)[m] = (*h)[m], (*h)[i]
-		i = m
-	}
-	return top
 }
